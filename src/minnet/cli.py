@@ -177,9 +177,10 @@ def _cmd_steiner_solve(args) -> int:
         solver={
             "name": "exact",
             "converged": tree.converged,
-            "iterations": len(tree.length_trace),
+            "iterations": res.sweeps,
             "n_topologies": res.n_topologies,
             "n_unconverged": res.n_unconverged,
+            "n_pruned": res.n_pruned,
             "wall_time_s": wall,
             "tolerances": _tol_dict(tol),
         },

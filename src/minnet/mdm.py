@@ -30,7 +30,7 @@ from .geometry import (
     fermat_point,
     point_segment_distances,
 )
-from .steiner import _gs_sweeps, _harmonic_init, _tables, _total_lengths, instance_scale
+from .steiner import _groups, _gs_sweeps, _harmonic_init, _tables, _total_lengths, instance_scale
 from .topology import enumerate_full_topologies
 
 __all__ = [
@@ -672,23 +672,10 @@ def _merge_terminals(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
     with no common point stay unmerged — still sound, possibly suboptimal.
     """
     n = len(pts)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(pts[i] - pts[j]) <= 2.0 * r:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    close = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    close = [(i, j) for i, j in close if np.linalg.norm(pts[i] - pts[j]) <= 2.0 * r]
     centers, radii = [], []
-    for members in sorted(groups.values()):
+    for members in _groups(n, close):
         cluster = pts[members]
         c, rad = _miniball(cluster)
         if rad <= r:
@@ -1078,39 +1065,23 @@ def verify_mdm(
     scale = max(instance_scale(V) if len(V) > 1 else 0.0, 1e-300)
     thresh = tol.eps_len * scale
 
-    parent = list(range(len(V)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    has_cycle = False
-    for u, v in net.edges:
-        if np.linalg.norm(V[u] - V[v]) <= thresh:
-            if find(u) == find(v):
-                has_cycle = True
-            else:
-                parent[find(u)] = find(v)
+    edges = [(int(u), int(v)) for u, v in net.edges]
+    # A graph is a forest iff |E| = |V| - #components (parallel edges and
+    # loops, zero-length ones included, count as cycles).
+    n_components = len(_groups(len(V), edges))
+    has_cycle = len(edges) > len(V) - n_components
+    short = [bool(np.linalg.norm(V[u] - V[v]) <= thresh) for u, v in edges]
+    rep = np.arange(len(V))
+    for members in _groups(len(V), [e for e, z in zip(edges, short) if z]):
+        rep[members] = members[0]
     quotient_edges = []
     seen = set()
-    for u, v in net.edges:
-        if np.linalg.norm(V[u] - V[v]) <= thresh:
-            continue
-        uu, vv = find(u), find(v)
+    for (u, v), z in zip(edges, short):
+        uu, vv = int(rep[u]), int(rep[v])
         key = (min(uu, vv), max(uu, vv))
-        if key in seen:
-            has_cycle = True
-            continue
-        seen.add(key)
-        quotient_edges.append((uu, vv))
-    for u, v in quotient_edges:
-        if find(u) == find(v):
-            has_cycle = True
-        else:
-            parent[find(u)] = find(v)
-    n_components = len({find(i) for i in range(len(V))})
+        if not z and key not in seen:
+            seen.add(key)
+            quotient_edges.append((uu, vv))
 
     adj: dict[int, list[tuple[int, int]]] = {}
     for ei, (u, v) in enumerate(quotient_edges):
@@ -1118,14 +1089,7 @@ def verify_mdm(
         adj.setdefault(v, []).append((u, ei))
 
     angles: list[tuple[int, float]] = []
-    eparent = list(range(len(quotient_edges)))
-
-    def efind(x):
-        while eparent[x] != x:
-            eparent[x] = eparent[eparent[x]]
-            x = eparent[x]
-        return x
-
+    straight = []  # pairs of quotient edges continuing one segment
     for vtx, nbrs in adj.items():
         if len(nbrs) < 2:
             continue
@@ -1135,8 +1099,8 @@ def verify_mdm(
         ]
         angles.append((vtx, float(min(pairs))))
         if len(nbrs) == 2 and pairs[0] >= np.pi - tol.eps_angle:
-            eparent[efind(nbrs[0][1])] = efind(nbrs[1][1])
-    segment_count = len({efind(i) for i in range(len(quotient_edges))})
+            straight.append((nbrs[0][1], nbrs[1][1]))
+    segment_count = len(_groups(len(quotient_edges), straight))
     min_angle = min((a for _, a in angles), default=float(np.pi))
     return MdmReport(
         has_cycle=has_cycle,

@@ -66,8 +66,10 @@ def mst(points) -> MstResult:
 
 def steiner_ratio(points, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """solve_exact length over MST length, in (0, 1]."""
-    st_len = solve_exact(points, tol=tol).tree.length
-    return st_len / mst(points).length
+    mst_len = mst(points).length
+    if mst_len == 0.0:
+        raise GeometryError("steiner ratio is undefined: all terminals coincide")
+    return solve_exact(points, tol=tol).tree.length / mst_len
 
 
 def simplex_points(d: int) -> np.ndarray:

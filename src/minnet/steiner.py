@@ -15,9 +15,14 @@ tree.  Rescue effort is spent only on topologies near the running minimum;
 far-from-minimal stalls keep an honest ``converged=False`` and a length that
 is a slight overestimate (upper bound) of their true optimum.
 
-:func:`solve_exact` relaxes every full topology at once (they all share the
-same array shapes for a given terminal count) and reports cominimal
-topologies within a relative tie tolerance.
+:func:`solve_exact` sweeps all full topologies as one batch (they share the
+same array shapes for a given terminal count), and each topology retires
+from the batch on its own: once a sweep moves none of its branch nodes, or
+once a certified lower bound on its optimum (convexity plus the terminals'
+convex hull, see :func:`_lower_bounds`) exceeds the shortest embedding found
+by more than the tie tolerance.  No topology is dropped on a guess, so the
+winner and every cominimal topology are always fully relaxed; cominimal
+topologies are reported within a relative tie tolerance.
 """
 
 from __future__ import annotations
@@ -102,10 +107,19 @@ class EmbeddedTree:
 
 @dataclass
 class SolveResult:
+    """Winner, cominimal topologies and per-topology accounting.
+
+    Every topology is either stationary (converged), certified non-minimal
+    by a lower bound (``n_pruned``), or neither (``n_unconverged``).
+    ``sweeps`` counts the batched Gauss-Seidel sweeps of the main phase.
+    """
+
     tree: EmbeddedTree
     cominimal: list[Topology]
     n_topologies: int
     n_unconverged: int
+    n_pruned: int = 0
+    sweeps: int = 0
 
 
 @dataclass
@@ -175,6 +189,37 @@ def _total_lengths(X: np.ndarray, edg: np.ndarray) -> np.ndarray:
     return _edge_lengths(X, edg).sum(axis=1)
 
 
+def _lower_bounds(X, nb, edg, n: int, degen: float) -> np.ndarray:
+    """Certified lower bound on each topology's optimal length, from embedding X.
+
+    Length L is convex in the branch nodes y, and L(y) >= G(y) for the
+    linear minorant built from one multiplier per edge: the unit edge vector
+    for an edge longer than ``degen``, and for a shorter edge a vector in the
+    unit ball (the one that best cancels its endpoints' resultants, clipped),
+    which makes G(x) >= L(x) - 2 l_e per short edge.  G has gradient g_i at
+    branch node i, and an optimal embedding lies in the terminals' convex
+    hull, so ``L* >= L(x) - 2 sum_short l_e + sum_i min_t g_i.(p_t - x_i)``.
+    The last sum is at least ``-sum_i |g_i| R_i`` with R_i the distance from
+    x_i to its farthest terminal.
+    """
+    vec, lens = _unit_vectors(X, nb, n)
+    short = lens <= degen
+    with np.errstate(invalid="ignore", divide="ignore"):
+        units = np.where(short[..., None], 0.0, vec / lens[..., None])
+    r = -units.sum(axis=2)  # (T, s, d) resultant of the long edges
+    k = np.maximum(short.sum(axis=2), 1)[..., None]
+    share = r / k  # what each short edge at a node should cancel
+    T = X.shape[0]
+    other = share[np.arange(T)[:, None, None], np.maximum(nb - n, 0)]
+    lam = np.where((nb >= n)[..., None], 0.5 * (other - share[:, :, None]), -share[:, :, None])
+    lam /= np.maximum(np.linalg.norm(lam, axis=3), 1.0)[..., None]
+    g = r + np.where(short[..., None], lam, 0.0).sum(axis=2)
+    # min over the hull of g_i . (y_i - x_i) is attained at a terminal.
+    drop = np.einsum("tsd,tsnd->tsn", g, X[:, None, :n, :] - X[:, n:, None, :]).min(axis=2)
+    charge = 2.0 * np.where(short, np.where(nb >= n, 0.5, 1.0) * lens, 0.0).sum(axis=(1, 2))
+    return _total_lengths(X, edg) + drop.sum(axis=1) - charge
+
+
 def _gs_sweeps(
     X: np.ndarray,
     nb: np.ndarray,
@@ -183,24 +228,58 @@ def _gs_sweeps(
     max_sweeps: int,
     edg: np.ndarray | None = None,
     trace: list | None = None,
-) -> np.ndarray:
-    """In-place Gauss-Seidel Fermat sweeps; returns last-sweep move per topology."""
+    certify: tuple[np.ndarray, float, float] | None = None,
+    rows: np.ndarray | None = None,
+) -> int:
+    """In-place Gauss-Seidel Fermat sweeps over a shrinking batch; returns sweeps run.
+
+    A topology leaves the batch after its first sweep that moves no branch
+    node by more than ``move_target``, so its embedding does not depend on
+    how slowly the others settle.  Given ``certify = (pruned, degen,
+    eps_tie)`` and ``edg``, every 10 sweeps a still-moving topology also
+    leaves, with ``pruned`` set, once its certified lower bound exceeds the
+    incumbent (the shortest embedding seen in the batch) by ``eps_tie``.
+    ``rows`` restricts the sweeps to those topologies.
+    """
     T, s, _ = nb.shape
-    t_idx = np.arange(T)[:, None]
-    last_move = np.full(T, np.inf)
-    for _ in range(max_sweeps):
-        move = np.zeros(T)
+    act = np.arange(T) if rows is None else np.asarray(rows)
+    Xa, nba = (X, nb) if rows is None else (X[act], nb[act])
+    if certify is not None:
+        pruned, degen, eps_tie = certify
+        best = _total_lengths(X, edg)
+    sweeps = 0
+    while sweeps < max_sweeps and len(act):
+        t_idx = np.arange(len(act))[:, None]
+        move = np.zeros(len(act))
         for i in range(s):
-            triples = X[t_idx, nb[:, i, :]]
+            triples = Xa[t_idx, nba[:, i, :]]
             new = fermat_point_triples(triples)
-            np.maximum(move, np.linalg.norm(new - X[:, n + i], axis=1), out=move)
-            X[:, n + i] = new
-        last_move = move
+            np.maximum(move, np.linalg.norm(new - Xa[:, n + i], axis=1), out=move)
+            Xa[:, n + i] = new
+        sweeps += 1
+        keep = move > move_target
         if trace is not None and edg is not None:
+            if Xa is not X:
+                X[act] = Xa
             trace.append(_total_lengths(X, edg))
-        if move.max() <= move_target:
-            break
-    return last_move
+        if certify is not None and sweeps % 10 == 0:
+            best[act] = _total_lengths(Xa, edg[act])
+            cutoff = best.min() * (1.0 + eps_tie)
+            far = np.flatnonzero(keep & (best[act] > cutoff))
+            if len(far):
+                dead = far[_lower_bounds(Xa[far], nba[far], edg[act[far]], n, degen) > cutoff]
+                pruned[act[dead]] = True
+                keep[dead] = False
+        if not keep.all() and sweeps < max_sweeps:
+            if Xa is not X:
+                X[act] = Xa
+            if certify is not None:
+                best[act[~keep]] = _total_lengths(Xa[~keep], edg[act[~keep]])
+            act = act[keep]
+            Xa, nba = X[act], nb[act]
+    if Xa is not X:
+        X[act] = Xa
+    return sweeps
 
 
 def _unit_vectors(X, nb, n):
@@ -211,6 +290,37 @@ def _unit_vectors(X, nb, n):
     vec = nbr_pos - X[:, n:, None, :]
     lens = np.linalg.norm(vec, axis=3)
     return vec, lens
+
+
+def _groups(m: int, pairs) -> list[list[int]]:
+    """Connected components of nodes ``0..m-1`` joined by ``pairs``.
+
+    Members are listed in increasing order and components in the order of
+    their first member, whatever the union order, so tie-breaks that follow
+    list order are stable.
+    """
+    parent = list(range(m))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for v in range(m):
+        groups.setdefault(find(v), []).append(v)
+    return list(groups.values())
+
+
+def _short_pairs(lens: np.ndarray, nb: np.ndarray, n: int, degen: float):
+    """(branch node, neighbor) pairs of one topology joined by an edge <= degen."""
+    i, k = np.nonzero(lens <= degen)
+    return zip((n + i).tolist(), nb[i, k].tolist())
 
 
 def _connected_subsets(nodes: list[int], adj: dict[int, set[int]]) -> list[list[int]]:
@@ -232,6 +342,36 @@ def _connected_subsets(nodes: list[int], adj: dict[int, set[int]]) -> list[list[
         if len(seen) == len(subset):
             out.append(subset)
     return out
+
+
+def _cluster_subsets(members: list[int], nbi, lens, n: int, degen: float):
+    """Connected subsets S of a coincidence cluster's branch nodes.
+
+    Yields ``(S, ext, cut)``: ``ext`` holds, per node of S, the (node row,
+    slot) pairs of its edges leaving the cluster, and ``cut`` counts the
+    zero-length edges a joint move of S would stretch (edges to the rest of
+    the cluster, coincident terminals included).
+    """
+    member_set = set(members)
+    steiner_members = [v for v in members if v >= n]
+    inner_adj: dict[int, set[int]] = {v: set() for v in steiner_members}
+    ext_of: dict[int, list[tuple[int, int]]] = {v: [] for v in steiner_members}
+    term_edges = dict.fromkeys(steiner_members, 0)
+    for v in steiner_members:
+        i = v - n
+        for k in range(3):
+            w = int(nbi[i, k])
+            if w in member_set and lens[i, k] <= degen:
+                if w >= n:
+                    inner_adj[v].add(w)
+                else:
+                    term_edges[v] += 1
+            else:
+                ext_of[v].append((i, k))
+    for subset in _connected_subsets(steiner_members, inner_adj):
+        sub = set(subset)
+        cut = sum(term_edges[v] + sum(1 for w in inner_adj[v] if w not in sub) for v in subset)
+        yield subset, [ext_of[v] for v in subset], cut
 
 
 def _geometric_median(anchors: np.ndarray, scale: float, iters: int = 100) -> np.ndarray:
@@ -303,25 +443,8 @@ def _cluster_pass(Xi, nbi, n: int, scale: float, degen: float) -> bool:
     cluster, plus one copy of the cluster point per zero-length edge the
     move would stretch.
     """
-    s = nbi.shape[0]
-    parent = list(range(n + s))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     lens = np.linalg.norm(Xi[nbi] - Xi[n:, None, :], axis=2)
-    for i in range(s):
-        for k in range(3):
-            if lens[i, k] <= degen:
-                ra, rb = find(n + i), find(int(nbi[i, k]))
-                if ra != rb:
-                    parent[ra] = rb
-    clusters: dict[int, list[int]] = {}
-    for v in range(n + s):
-        clusters.setdefault(find(v), []).append(v)
+    clusters = _groups(n + nbi.shape[0], _short_pairs(lens, nbi, n, degen))
 
     # Gate moves on the stationarity violation (external pull minus the number
     # of zero edges a move would stretch), not on the measured length gain:
@@ -329,34 +452,12 @@ def _cluster_pass(Xi, nbi, n: int, scale: float, degen: float) -> bool:
     # drowns in float noise long before the pull condition is met.
     best_viol = 1e-9
     best_move: tuple[list[int], np.ndarray, np.ndarray] | None = None
-    for members in clusters.values():
-        steiner_members = [v for v in members if v >= n]
-        if len(members) < 2 or not steiner_members:
+    for members in clusters:
+        if len(members) < 2 or members[-1] < n:
             continue
-        member_set = set(members)
-        inner_adj: dict[int, set[int]] = {v: set() for v in steiner_members}
-        ext_of: dict[int, list[np.ndarray]] = {v: [] for v in steiner_members}
-        term_edges: dict[int, int] = dict.fromkeys(steiner_members, 0)
-        for v in steiner_members:
-            i = v - n
-            for k in range(3):
-                w = int(nbi[i, k])
-                if w in member_set and lens[i, k] <= degen:
-                    if w >= n:
-                        inner_adj[v].add(w)
-                    else:
-                        term_edges[v] += 1
-                else:
-                    ext_of[v].append(Xi[w])
-        p = Xi[steiner_members[0]]
-        for subset in _connected_subsets(steiner_members, inner_adj):
-            sub = set(subset)
-            anchors = []
-            cut = 0
-            for v in subset:
-                anchors.extend(ext_of[v])
-                cut += term_edges[v]
-                cut += sum(1 for w in inner_adj[v] if w not in sub)
+        p = Xi[next(v for v in members if v >= n)]
+        for subset, ext, cut in _cluster_subsets(members, nbi, lens, n, degen):
+            anchors = [Xi[nbi[i, k]] for slots in ext for i, k in slots]
             if not anchors:
                 continue
             A_ext = np.asarray(anchors)
@@ -390,27 +491,9 @@ def _newton_polish(Xi, nbi, n: int, scale: float, degen: float) -> None:
     """
     s, d = nbi.shape[0], Xi.shape[1]
     lens = np.linalg.norm(Xi[nbi] - Xi[n:, None, :], axis=2)
-
-    parent = list(range(n + s))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(s):
-        for k in range(3):
-            if lens[i, k] <= degen:
-                ra, rb = find(n + i), find(int(nbi[i, k]))
-                if ra != rb:
-                    parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for v in range(n + s):
-        groups.setdefault(find(v), []).append(v)
     var_members: list[list[int]] = []
     var_of: dict[int, int] = {}
-    for members in groups.values():
+    for members in _groups(n + s, _short_pairs(lens, nbi, n, degen)):
         steiner_members = [v for v in members if v >= n]
         if not steiner_members or len(steiner_members) < len(members):
             continue  # no branch nodes, or pinned onto a terminal
@@ -514,54 +597,12 @@ def _stationarity_ok(X, nb, n, scale, tol: ToleranceConfig) -> np.ndarray:
     has_degen = np.flatnonzero(~nondeg_node.all(axis=1))
     d = X.shape[2]
     for t in has_degen:
-        parent = list(range(n + s))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(s):
-            for k in range(3):
-                if lens[t, i, k] <= degen:
-                    ra, rb = find(n + i), find(int(nb[t, i, k]))
-                    if ra != rb:
-                        parent[ra] = rb
-        clusters: dict[int, list[int]] = {}
-        for v in range(n + s):
-            clusters.setdefault(find(v), []).append(v)
-        for members in clusters.values():
+        for members in _groups(n + s, _short_pairs(lens[t], nb[t], n, degen)):
             if len(members) < 2 or not ok[t]:
                 continue
-            member_set = set(members)
-            steiner_members = [v for v in members if v >= n]
-            # External resultant per branch node and internal adjacency.
-            res_of: dict[int, np.ndarray] = {}
-            term_edges: dict[int, int] = {}
-            inner_adj: dict[int, set[int]] = {v: set() for v in steiner_members}
-            for v in steiner_members:
-                i = v - n
-                r_ext = np.zeros(d)
-                t_cnt = 0
-                for k in range(3):
-                    w = int(nb[t, i, k])
-                    if w in member_set and lens[t, i, k] <= degen:
-                        if w >= n:
-                            inner_adj[v].add(w)
-                        else:
-                            t_cnt += 1
-                    else:
-                        r_ext += units[t, i, k]
-                res_of[v] = r_ext
-                term_edges[v] = t_cnt
-            for subset in _connected_subsets(steiner_members, inner_adj):
-                sub = set(subset)
-                cap = sum(term_edges[v] for v in subset)
-                for v in subset:
-                    cap += sum(1 for w in inner_adj[v] if w not in sub)
-                pull = np.linalg.norm(sum((res_of[v] for v in subset), np.zeros(d)))
-                if pull > cap + res_tol:
+            for _, ext, cap in _cluster_subsets(members, nb[t], lens[t], n, degen):
+                res = [sum((units[t, i, k] for i, k in slots), np.zeros(d)) for slots in ext]
+                if np.linalg.norm(sum(res, np.zeros(d))) > cap + res_tol:
                     ok[t] = False
                     break
     return ok
@@ -634,7 +675,11 @@ def _relax_batch(
     max_sweeps: int,
     record_trace: bool = False,
 ):
-    """Relax every topology at once.  Returns (X, lengths, converged, traces)."""
+    """Relax every topology of one batch.
+
+    Returns (X, lengths, converged, traces, pruned, sweeps), where ``pruned``
+    marks non-stationary topologies certified non-minimal by a lower bound.
+    """
     n, d = terminals.shape
     s = n - 2
     T = len(topologies)
@@ -642,30 +687,33 @@ def _relax_batch(
     scale = instance_scale(terminals)
     X = np.empty((T, n + s, d))
     X[:, :n] = terminals[None]
+    pruned = np.zeros(T, dtype=bool)
     if scale == 0.0:
         X[:, n:] = terminals[0]
         lengths = np.zeros(T)
-        return X, lengths, np.ones(T, dtype=bool), [np.zeros(T)]
+        return X, lengths, np.ones(T, dtype=bool), [np.zeros(T)], pruned, 0
 
     X[:, n:] = _harmonic_init(terminals, nb)
     trace: list | None = [] if record_trace else None
     move_target = 1e-12 * scale
+    degen = max(tol.eps_len * scale, 1e-300)
 
-    _gs_sweeps(X, nb, n, move_target, max_sweeps, edg, trace)
+    sweeps = _gs_sweeps(
+        X, nb, n, move_target, max_sweeps, edg, trace, (pruned, degen, tol.eps_tie)
+    )
     ok = _stationarity_ok(X, nb, n, scale, tol)
     def near_min(flags: np.ndarray) -> np.ndarray:
         # Only topologies near the current best length matter downstream, so
-        # the expensive rescue phases skip far-from-minimal stalls; those keep
-        # an honest converged=False.
+        # the expensive rescue phases skip far-from-minimal stalls and
+        # certified non-minimal ones; those keep an honest converged=False.
         lens_now = _total_lengths(X, edg)
-        return flags & (lens_now <= lens_now.min() * (1.0 + 1e-3))
+        return flags & ~pruned & (lens_now <= lens_now.min() * (1.0 + 1e-3))
 
     if not ok.all() and near_min(~ok).any():
         # Stalled topologies near the minimum get rescued: joint median moves
         # unstick coincident branch-node groups (per-node sweeps cannot
         # translate a collapsed pair), then Newton on the contracted tree
         # finishes the stiff slow crawls that coordinate descent cannot.
-        degen = max(tol.eps_len * scale, 1e-300)
         for _ in range(3):
             flagged = np.flatnonzero(near_min(~ok))
             if len(flagged) == 0:
@@ -676,29 +724,27 @@ def _relax_batch(
                 ]
                 if not movers:
                     break
-                mi = np.asarray(movers)
-                Xf = X[mi]
-                _gs_sweeps(Xf, nb[mi], n, move_target, 200)
-                X[mi] = Xf
+                _gs_sweeps(X, nb, n, move_target, 200, rows=movers)
             for f in flagged:
                 _newton_polish(X[f], nb[f], n, scale, degen)
-            Xf = X[flagged]
-            _gs_sweeps(Xf, nb[flagged], n, move_target, 200)
-            X[flagged] = Xf
+            _gs_sweeps(X, nb, n, move_target, 200, rows=flagged)
             ok = _stationarity_ok(X, nb, n, scale, tol)
     if not ok.all() and near_min(~ok).any():
         flagged = np.flatnonzero(near_min(~ok))
         _smoothed_polish(X, nb, edg, n, flagged, scale)
-        Xf = X[flagged]  # fancy indexing copies; sweep the copy, write it back
-        _gs_sweeps(Xf, nb[flagged], n, move_target, max(200, max_sweeps // 4))
-        X[flagged] = Xf
+        _gs_sweeps(X, nb, n, move_target, max(200, max_sweeps // 4), rows=flagged)
         ok = _stationarity_ok(X, nb, n, scale, tol)
 
     lengths = _total_lengths(X, edg)
+    rest = np.flatnonzero(~ok & ~pruned)
+    if len(rest):
+        cutoff = lengths.min() * (1.0 + tol.eps_tie)
+        pruned[rest] = _lower_bounds(X[rest], nb[rest], edg[rest], n, degen) > cutoff
+    pruned &= ~ok
     if trace is not None and (not trace or np.any(trace[-1] != lengths)):
         trace.append(lengths)  # rescue phases run outside the sweep loop
     traces = trace if record_trace else None
-    return X, lengths, ok, traces
+    return X, lengths, ok, traces, pruned, sweeps
 
 
 def relax_topology(
@@ -719,7 +765,7 @@ def relax_topology(
     if n == 2:
         length = float(np.linalg.norm(pts[0] - pts[1]))
         return EmbeddedTree(topology, pts, np.empty((0, pts.shape[1])), length, True, (length,))
-    X, lengths, converged, traces = _relax_batch(
+    X, lengths, converged, traces, _, _ = _relax_batch(
         pts, [topology], tol, max_sweeps, record_trace=True
     )
     trace = tuple(float(t[0]) for t in traces) if traces else ()
@@ -783,7 +829,7 @@ def solve_exact(
         return SolveResult(tree, [topo], 1, 0)
 
     topologies = enumerate_full_topologies(n, n_max=n_max)
-    X, lengths, converged, _ = _relax_batch(pts, topologies, tol, max_sweeps)
+    X, lengths, converged, _, pruned, sweeps = _relax_batch(pts, topologies, tol, max_sweeps)
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))
@@ -819,8 +865,9 @@ def solve_exact(
         reps.append(t)
         rep_segs.append(segs)
     cominimal = [topologies[t] for t in reps]
-    n_unconverged = int((~converged).sum())
-    return SolveResult(best_tree, cominimal, len(topologies), n_unconverged)
+    n_pruned = int(pruned.sum())
+    n_unconverged = int((~converged).sum()) - n_pruned
+    return SolveResult(best_tree, cominimal, len(topologies), n_unconverged, n_pruned, sweeps)
 
 
 # ---------------------------------------------------------------------------
@@ -834,34 +881,20 @@ def _contract(coords: np.ndarray, edges, degen: float):
     keep one entry per original edge whose endpoints landed in different
     clusters (a tree stays a tree under edge contraction).
     """
-    m = len(coords)
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in edges:
-        if np.linalg.norm(coords[u] - coords[v]) <= degen:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-    clusters: dict[int, list[int]] = {}
-    for v in range(m):
-        clusters.setdefault(find(v), []).append(v)
-    index_of: dict[int, int] = {}
-    positions = []
-    for new_idx, (root, members) in enumerate(sorted(clusters.items())):
-        index_of[root] = new_idx
-        positions.append(coords[members].mean(axis=0))
-    new_edges = []
-    for u, v in edges:
-        ru, rv = index_of[find(u)], index_of[find(v)]
-        if ru != rv:
-            new_edges.append((ru, rv))
-    return np.asarray(positions), new_edges
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    short = np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1) <= degen
+    clusters = _groups(len(coords), e[short].tolist())
+    index_of = np.empty(len(coords), dtype=np.int64)
+    index_of[[v for members in clusters for v in members]] = np.repeat(
+        np.arange(len(clusters)), [len(members) for members in clusters]
+    )
+    positions = coords[[members[0] for members in clusters]]
+    for new_idx, members in enumerate(clusters):
+        if len(members) > 1:
+            positions[new_idx] = coords[members].mean(axis=0)
+    ru, rv = index_of[e[:, 0]], index_of[e[:, 1]]
+    cut = ru != rv
+    return positions, list(zip(ru[cut].tolist(), rv[cut].tolist()))
 
 
 def verify_tree(tree: EmbeddedTree, tol: ToleranceConfig = DEFAULT_TOL) -> TreeReport:
@@ -886,13 +919,8 @@ def verify_tree(tree: EmbeddedTree, tol: ToleranceConfig = DEFAULT_TOL) -> TreeR
             multi = True
         adjacency[u].add(v)
         adjacency[v].add(u)
-    seenv, stack = {0}, [0]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in seenv:
-                seenv.add(w)
-                stack.append(w)
-    is_tree = (len(new_edges) == v_count - 1) and (len(seenv) == v_count) and not multi
+    connected = len(_groups(v_count, new_edges)) == 1
+    is_tree = (len(new_edges) == v_count - 1) and connected and not multi
 
     max_degree = max((len(a) for a in adjacency.values()), default=0)
     min_angle = None

@@ -135,6 +135,24 @@ class TestSteinerCommands:
         assert abs(float(out) - (1.0 + math.sqrt(3.0)) / 3.0) <= 1e-9
         assert len(out.replace("-", "").replace(".", "").lstrip("0")) >= 16
 
+    def test_solve_reports_sweeps_and_pruning(self, tmp_path, capsys):
+        zigzag = [[float(i), (i % 2) * math.sqrt(3.0)] for i in range(6)]
+        inst = _write(tmp_path, "zigzag.json", {"dim": 2, "problem": "steiner", "terminals": zigzag})
+        out = str(tmp_path / "result.json")
+        assert cli_dispatch(["steiner", "solve", "--in", inst, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        solver = parse_result(open(out, "rb").read()).solver
+        assert solver["n_topologies"] == 105
+        assert solver["iterations"] > 0
+        assert solver["n_pruned"] > 0
+        assert solver["n_pruned"] + solver["n_unconverged"] <= solver["n_topologies"]
+
+    def test_ratio_coincident_terminals_exits_invalid(self, tmp_path, capsys):
+        coincident = {"dim": 2, "problem": "steiner", "terminals": [[0.25, 0.5]] * 4}
+        inst = _write(tmp_path, "coincident.json", coincident)
+        assert cli_dispatch(["steiner", "ratio", "--in", inst]) == EXIT_INVALID
+        assert "coincide" in _err_line(capsys)
+
     def test_solve_rejects_mdm_instance(self, tmp_path, capsys):
         inst = _write(tmp_path, "pts.json", MDM_POINTS)
         assert cli_dispatch(["steiner", "solve", "--in", inst]) == EXIT_INVALID

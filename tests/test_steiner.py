@@ -11,6 +11,11 @@ from scipy.spatial.distance import pdist, squareform
 from minnet.geometry import DEFAULT_TOL, GeometryError, ToleranceConfig
 from minnet.steiner import (
     EmbeddedTree,
+    _gs_sweeps,
+    _harmonic_init,
+    _lower_bounds,
+    _tables,
+    instance_scale,
     count_branching_in_ball,
     count_crossings,
     length_in_ball,
@@ -268,6 +273,104 @@ class TestSolveExactInvariants:
         res = solve_exact(pts)
         assert res.tree.length <= mst_length(pts) + 1e-9
         assert res.tree.length >= max(pdist(pts)) - 1e-9
+
+
+def _embeddings_after(pts: np.ndarray, topologies, sweeps: int):
+    """Branch-node embeddings after ``sweeps`` Fermat sweeps from the harmonic start."""
+    n = len(pts)
+    nb, edg = _tables(topologies, n)
+    X = np.empty((len(topologies), 2 * n - 2, pts.shape[1]))
+    X[:, :n] = pts
+    X[:, n:] = _harmonic_init(pts, nb)
+    _gs_sweeps(X, nb, n, 0.0, sweeps)
+    return X, nb, edg
+
+
+def _bound_instances():
+    rng = np.random.default_rng(2024)
+    out = [
+        pytest.param(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]), id="square"),
+        pytest.param(
+            np.column_stack([np.arange(6.0), (np.arange(6) % 2) * math.sqrt(3.0)]), id="zigzag6"
+        ),
+        pytest.param(
+            np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.2), (0.3, 0.9)]), id="coincident_pair"
+        ),
+        pytest.param(
+            np.array([(0.0, 0.0), (1.0, 0.5), (2.5, 1.25), (3.0, 1.5), (4.0, 2.0)]), id="collinear"
+        ),
+    ]
+    for n in (4, 5, 6, 7):
+        for d in (2, 3):
+            out.append(pytest.param(rng.uniform(0.0, 1.0, (n, d)), id=f"uniform_n{n}_d{d}"))
+    return out
+
+
+class TestLowerBound:
+    """The certificate that lets solve_exact retire topologies must be sound."""
+
+    @pytest.mark.parametrize("pts", _bound_instances())
+    def test_bound_never_exceeds_relaxed_length(self, pts):
+        n = len(pts)
+        topologies = enumerate_full_topologies(n)
+        if n >= 6:
+            # Relaxing hundreds of topologies one at a time is slow; a seeded
+            # sample keeps every instance while bounding the run time.
+            pick = np.random.default_rng(n).choice(len(topologies), 12, replace=False)
+            topologies = [topologies[int(k)] for k in pick]
+        ref = np.array([relax_topology(pts, topo).length for topo in topologies])
+        scale = instance_scale(pts)
+        degen = DEFAULT_TOL.eps_len * scale
+        for sweeps in (1, 5, 20, 200):
+            X, nb, edg = _embeddings_after(pts, topologies, sweeps)
+            lb = _lower_bounds(X, nb, edg, n, degen)
+            assert np.all(lb <= ref + 1e-12 * scale), (sweeps, (lb - ref).max())
+
+    def test_bound_is_tight_at_the_optimum(self):
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
+        topologies = enumerate_full_topologies(3)
+        X, nb, edg = _embeddings_after(pts, topologies, 50)
+        lb = _lower_bounds(X, nb, edg, 3, 1e-9)
+        assert lb[0] == pytest.approx(EQUILATERAL_LENGTH, abs=1e-12)
+
+    @pytest.mark.parametrize("n,d,seed", [(5, 2, 31), (5, 3, 32), (6, 2, 33)])
+    def test_solve_exact_matches_best_single_relaxation(self, n, d, seed):
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, d))
+        best = min(relax_topology(pts, topo).length for topo in enumerate_full_topologies(n))
+        assert solve_exact(pts).tree.length == pytest.approx(best, rel=1e-12)
+
+    def test_sweeps_do_not_depend_on_batch(self):
+        # A topology leaves the batch when it settles, so its embedding is the
+        # one it gets when swept alone, bit for bit.
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, (5, 2))
+        target = 1e-12 * instance_scale(pts)
+        topologies = enumerate_full_topologies(5)
+        together, nb, _ = _embeddings_after(pts, topologies, 0)
+        _gs_sweeps(together, nb, 5, target, 3000)
+        for t in range(len(topologies)):
+            alone, nb1, _ = _embeddings_after(pts, topologies[t : t + 1], 0)
+            _gs_sweeps(alone, nb1, 5, target, 3000)
+            assert np.array_equal(alone[0], together[t])
+
+
+class TestSolveAccounting:
+    def test_counts_partition_topologies(self):
+        pts = np.column_stack([np.arange(6.0), (np.arange(6) % 2) * math.sqrt(3.0)])
+        res = solve_exact(pts)
+        assert res.n_topologies == 105
+        assert res.n_pruned > 0
+        assert res.n_pruned + res.n_unconverged <= res.n_topologies
+        assert 0 < res.sweeps <= 3000
+
+    def test_square_needs_no_pruning(self):
+        res = solve_exact([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        assert res.n_pruned == 0 and res.n_unconverged == 0
+        assert res.sweeps >= 1
+
+    def test_coincident_terminals_run_no_sweeps(self):
+        res = solve_exact([(0.5, 0.5)] * 4)
+        assert res.tree.length == 0.0
+        assert (res.sweeps, res.n_pruned, res.n_unconverged) == (0, 0, 0)
 
 
 class TestVerifyTree:
