@@ -264,6 +264,21 @@ def dist_point_to_segment(p, s0, s1) -> float:
     return float(np.linalg.norm(pp - (p0 + t * v)))
 
 
+def _closest_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clipped segment parameters (S, E) and closest points (S, E, d).
+
+    The closest point of ``pts[s]`` on segment ``[a[e], b[e]]`` is
+    ``a[e] + t[s, e] * (b[e] - a[e])``; a zero-length segment gets t = 0.
+    """
+    v = b - a  # (E, d)
+    den = np.einsum("ed,ed->e", v, v)  # (E,)
+    safe = np.where(den == 0.0, 1.0, den)
+    diff = pts[:, None, :] - a[None, :, :]  # (S, E, d)
+    t = np.einsum("sed,ed->se", diff, v) / safe[None, :]
+    t = np.clip(np.where(den[None, :] == 0.0, 0.0, t), 0.0, 1.0)
+    return t, a[None, :, :] + t[:, :, None] * v[None, :, :]
+
+
 def point_segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
     """Distance matrix between ``points`` (S, d) and segments (E, d)/(E, d).
 
@@ -272,12 +287,5 @@ def point_segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.nda
     """
     pts = np.asarray(points, dtype=float)
     a = np.asarray(seg_a, dtype=float)
-    b = np.asarray(seg_b, dtype=float)
-    v = b - a  # (E, d)
-    den = np.einsum("ed,ed->e", v, v)  # (E,)
-    safe = np.where(den == 0.0, 1.0, den)
-    diff = pts[:, None, :] - a[None, :, :]  # (S, E, d)
-    t = np.einsum("sed,ed->se", diff, v) / safe[None, :]
-    t = np.clip(np.where(den[None, :] == 0.0, 0.0, t), 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * v[None, :, :]
+    _, closest = _closest_points(pts, a, np.asarray(seg_b, dtype=float))
     return np.linalg.norm(pts[:, None, :] - closest, axis=2)

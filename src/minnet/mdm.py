@@ -26,11 +26,20 @@ import numpy as np
 from .geometry import (
     DEFAULT_TOL,
     ToleranceConfig,
+    _closest_points,
     angle_at,
     fermat_point,
     point_segment_distances,
 )
-from .steiner import _groups, _gs_sweeps, _harmonic_init, _tables, _total_lengths, instance_scale
+from .steiner import (
+    _contract,
+    _groups,
+    _gs_sweeps,
+    _harmonic_init,
+    _tables,
+    _total_lengths,
+    instance_scale,
+)
 from .topology import enumerate_full_topologies
 
 __all__ = [
@@ -803,12 +812,7 @@ def _penalty_gradient(V, E, samples, r, mu):
     u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
     np.add.at(g, e0, u)
     np.add.at(g, e1, -u)
-    v = b - a
-    den = np.einsum("ed,ed->e", v, v)
-    safe = np.where(den == 0.0, 1.0, den)
-    diff = samples[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("sed,ed->se", diff, v) / safe[None, :], 0.0, 1.0)
-    closest = a[None] + t[:, :, None] * v[None]
+    t, closest = _closest_points(samples, a, b)
     dvec = samples[:, None, :] - closest
     dist = np.linalg.norm(dvec, axis=2)
     j = np.argmin(dist, axis=1)
@@ -866,34 +870,10 @@ def _topology_surgery(V, E, samples, r, tol, scale):
         E.append((len(V) - 1, v))
         split_done.add(ei)
 
-    # Merge vertices that collapsed onto each other.
+    # Merge vertices that collapsed onto each other, then drop parallel edges.
     thresh = tol.eps_len * scale
-    parent = list(range(len(V)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in E:
-        if np.linalg.norm(V[u] - V[v]) <= thresh:
-            parent[find(u)] = find(v)
-    roots = sorted({find(i) for i in range(len(V))})
-    remap = {root: i for i, root in enumerate(roots)}
-    V2 = V[roots]
-    E2 = []
-    seen = set()
-    for u, v in E:
-        uu, vv = remap[find(u)], remap[find(v)]
-        if uu == vv:
-            continue
-        key = (min(uu, vv), max(uu, vv))
-        if key in seen:
-            continue
-        seen.add(key)
-        E2.append((uu, vv))
-    V, E = V2, E2
+    V, pairs = _contract(V, E, thresh)
+    E = list(dict.fromkeys((min(u, v), max(u, v)) for u, v in pairs))
 
     # Fermat-split sharp corners at degree-2 vertices.
     adj = _adjacency(len(V), E)
@@ -1002,12 +982,7 @@ def _closest_on_network(net: MdmNetwork, samples: np.ndarray):
     best_p = np.zeros((S, net.vertices.shape[1]))
     a, b = net.segment_arrays()
     if len(a):
-        v = b - a
-        den = np.einsum("ed,ed->e", v, v)
-        safe = np.where(den == 0.0, 1.0, den)
-        diff = samples[:, None, :] - a[None]
-        t = np.clip(np.einsum("sed,ed->se", diff, v) / safe[None], 0.0, 1.0)
-        closest = a[None] + t[:, :, None] * v[None]
+        _, closest = _closest_points(samples, a, b)
         dist = np.linalg.norm(samples[:, None, :] - closest, axis=2)
         j = dist.argmin(axis=1)
         rows = np.arange(S)

@@ -6,14 +6,15 @@ current neighbors (closed form, so degenerate collapses land exactly on a
 vertex).  Total length is convex in the branch coordinates, and each block
 update is the exact block minimizer, so the sweep never increases length.
 
-Coordinate descent stalls in two ways, both detected by a first-order
-stationarity check and rescued while preserving monotonicity: coincident
-branch nodes that want to translate as a block get exact joint moves to the
-geometric median of their outside neighbors, and stiffly coupled short edges
-that make the sweeps crawl get finished by damped Newton on the contracted
-tree.  Rescue effort is spent only on topologies near the running minimum;
-far-from-minimal stalls keep an honest ``converged=False`` and a length that
-is a slight overestimate (upper bound) of their true optimum.
+Coordinate descent stalls where coincident branch nodes want to translate
+as a block, and crawls where short edges couple branch nodes stiffly.  A
+first-order stationarity check finds both, and one finisher handles both:
+damped Newton on the smoothed length sum_e sqrt(l_e^2 + eps^2) over all
+branch nodes, batched over the flagged topologies, with eps driven toward
+machine scale.  It never lengthens a topology, so monotonicity holds.  The
+finisher runs only on topologies near the running minimum; far-from-minimal
+stalls keep an honest ``converged=False`` and a length that is a slight
+overestimate (upper bound) of their true optimum.
 
 :func:`solve_exact` sweeps all full topologies as one batch (they share the
 same array shapes for a given terminal count), and each topology retires
@@ -27,7 +28,7 @@ topologies are reported within a relative tie tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,202 +375,6 @@ def _cluster_subsets(members: list[int], nbi, lens, n: int, degen: float):
         yield subset, [ext_of[v] for v in subset], cut
 
 
-def _geometric_median(anchors: np.ndarray, scale: float, iters: int = 100) -> np.ndarray:
-    """Point minimizing the summed distances to ``anchors``.
-
-    Weiszfeld iterations get close, then damped Newton steps finish the job;
-    Weiszfeld alone crawls when the minimizer sits near (but not on) an
-    anchor, and downstream stationarity checks need the resultant to vanish
-    to near machine precision.
-    """
-    y = anchors.mean(axis=0)
-    for _ in range(iters):
-        d = np.linalg.norm(anchors - y, axis=1)
-        hit = d <= 1e-14 * scale
-        if hit.any():
-            rest = anchors[~hit]
-            if rest.size == 0:
-                return y
-            u = rest - y
-            pull = (u / np.linalg.norm(u, axis=1)[:, None]).sum(axis=0)
-            if np.linalg.norm(pull) <= hit.sum():
-                return y
-            # Not optimal at the anchor: step off it and keep iterating.
-            y = y + (1e-10 * scale) * pull / np.linalg.norm(pull)
-            continue
-        w = 1.0 / d
-        y_new = (anchors * w[:, None]).sum(axis=0) / w.sum()
-        if np.linalg.norm(y_new - y) <= 1e-13 * scale:
-            break
-        y = y_new
-    dim = anchors.shape[1]
-    fval = np.linalg.norm(anchors - y, axis=1).sum()
-    for _ in range(60):
-        diff = anchors - y
-        d = np.linalg.norm(diff, axis=1)
-        if d.min() <= 1e-13 * scale:
-            break
-        u = diff / d[:, None]
-        g = -u.sum(axis=0)
-        if np.linalg.norm(g) <= 1e-13:
-            break
-        H = (np.eye(dim)[None] - u[:, :, None] * u[:, None, :]) / d[:, None, None]
-        try:
-            step = np.linalg.solve(H.sum(axis=0), -g)
-        except np.linalg.LinAlgError:
-            break
-        trial = y + step
-        ftrial = np.linalg.norm(anchors - trial, axis=1).sum()
-        halvings = 0
-        while ftrial > fval and halvings < 40:
-            step *= 0.5
-            trial = y + step
-            ftrial = np.linalg.norm(anchors - trial, axis=1).sum()
-            halvings += 1
-        if ftrial > fval:
-            break
-        y, fval = trial, ftrial
-    return y
-
-
-def _cluster_pass(Xi, nbi, n: int, scale: float, degen: float) -> bool:
-    """Best joint move of coincident branch nodes; True if anything moved.
-
-    Per-node sweeps leave every branch node at the Fermat point of its own
-    neighbors, but nodes collapsed onto one point can still admit a joint
-    translation that no single-node update finds.  The exact block update
-    for a connected subset S of a coincidence cluster moves S to the
-    geometric median of everything it is tied to: its neighbors outside the
-    cluster, plus one copy of the cluster point per zero-length edge the
-    move would stretch.
-    """
-    lens = np.linalg.norm(Xi[nbi] - Xi[n:, None, :], axis=2)
-    clusters = _groups(n + nbi.shape[0], _short_pairs(lens, nbi, n, degen))
-
-    # Gate moves on the stationarity violation (external pull minus the number
-    # of zero edges a move would stretch), not on the measured length gain:
-    # near the block optimum the gain is quadratic in the remaining error and
-    # drowns in float noise long before the pull condition is met.
-    best_viol = 1e-9
-    best_move: tuple[list[int], np.ndarray, np.ndarray] | None = None
-    for members in clusters:
-        if len(members) < 2 or members[-1] < n:
-            continue
-        p = Xi[next(v for v in members if v >= n)]
-        for subset, ext, cut in _cluster_subsets(members, nbi, lens, n, degen):
-            anchors = [Xi[nbi[i, k]] for slots in ext for i, k in slots]
-            if not anchors:
-                continue
-            A_ext = np.asarray(anchors)
-            u = A_ext - p
-            u /= np.linalg.norm(u, axis=1)[:, None]
-            viol = np.linalg.norm(u.sum(axis=0)) - cut
-            if viol > best_viol:
-                best_viol = viol
-                A = np.vstack([A_ext] + [p[None]] * cut) if cut else A_ext
-                best_move = (subset, A, p)
-    if best_move is None:
-        return False
-    subset, A, p = best_move
-    y = _geometric_median(A, scale)
-    if np.linalg.norm(y - p) <= 1e-16 * scale:
-        return False
-    for v in subset:
-        Xi[v] = y
-    return True
-
-
-def _newton_polish(Xi, nbi, n: int, scale: float, degen: float) -> None:
-    """Damped Newton on the contracted tree of one topology, in place.
-
-    Coordinate descent crawls when short edges couple branch nodes stiffly, so
-    finish with Newton: every pure-branch coincidence cluster is contracted to
-    a single variable, nondegenerate branch nodes stay their own variables,
-    and clusters pinned to a terminal are frozen (the cluster conditions own
-    those).  The contracted length is smooth in these variables, Newton
-    converges in a handful of steps, and backtracking keeps it monotone.
-    """
-    s, d = nbi.shape[0], Xi.shape[1]
-    lens = np.linalg.norm(Xi[nbi] - Xi[n:, None, :], axis=2)
-    var_members: list[list[int]] = []
-    var_of: dict[int, int] = {}
-    for members in _groups(n + s, _short_pairs(lens, nbi, n, degen)):
-        steiner_members = [v for v in members if v >= n]
-        if not steiner_members or len(steiner_members) < len(members):
-            continue  # no branch nodes, or pinned onto a terminal
-        for v in steiner_members:
-            var_of[v] = len(var_members)
-        var_members.append(steiner_members)
-    nvar = len(var_members)
-    if nvar == 0:
-        return
-
-    # Contracted edges (a, b, anchor, wt): ``b`` is a variable index or None
-    # with ``anchor`` the fixed endpoint; steiner-steiner edges appear in both
-    # rows and get half weight each.
-    cedges: list[tuple[int, int | None, int, float]] = []
-    for i in range(s):
-        a = var_of.get(n + i)
-        if a is None:
-            continue
-        for k in range(3):
-            w = int(nbi[i, k])
-            b = var_of.get(w)
-            if b == a:
-                continue  # internal zero edge of the cluster
-            wt = 0.5 if b is not None else 1.0
-            cedges.append((a, b, w, wt))
-
-    Y = np.array([Xi[mem[0]] for mem in var_members])
-
-    def state(Yc):
-        f = 0.0
-        ls = np.empty(len(cedges))
-        for e, (a, b, w, wt) in enumerate(cedges):
-            pos_b = Yc[b] if b is not None else Xi[w]
-            ls[e] = np.linalg.norm(Yc[a] - pos_b)
-            f += wt * ls[e]
-        return ls, f
-
-    ls, fval = state(Y)
-    if ls.min() <= degen:
-        return
-    for _ in range(60):
-        g = np.zeros((nvar, d))
-        H = np.zeros((nvar * d, nvar * d))
-        for e, (a, b, w, wt) in enumerate(cedges):
-            pos_b = Y[b] if b is not None else Xi[w]
-            vec = Y[a] - pos_b
-            u = vec / ls[e]
-            g[a] += wt * u
-            P = wt * (np.eye(d) - np.outer(u, u)) / ls[e]
-            H[a * d : (a + 1) * d, a * d : (a + 1) * d] += P
-            if b is not None:
-                g[b] -= wt * u
-                H[b * d : (b + 1) * d, b * d : (b + 1) * d] += P
-                H[a * d : (a + 1) * d, b * d : (b + 1) * d] -= P
-                H[b * d : (b + 1) * d, a * d : (a + 1) * d] -= P
-        if np.linalg.norm(g, axis=1).max() <= 1e-13:
-            break
-        try:
-            step = np.linalg.solve(H, -g.reshape(-1)).reshape(nvar, d)
-        except np.linalg.LinAlgError:
-            break
-        tls, tf = state(Y + step)
-        halvings = 0
-        while (tls.min() <= degen or tf > fval) and halvings < 40:
-            step *= 0.5
-            tls, tf = state(Y + step)
-            halvings += 1
-        if tf > fval or tls.min() <= degen:
-            break
-        Y = Y + step
-        ls, fval = tls, tf
-    for j, mem in enumerate(var_members):
-        for v in mem:
-            Xi[v] = Y[j]
-
-
 def _stationarity_ok(X, nb, n, scale, tol: ToleranceConfig) -> np.ndarray:
     """First-order optimality per topology, honoring degenerate collapses.
 
@@ -608,64 +413,74 @@ def _stationarity_ok(X, nb, n, scale, tol: ToleranceConfig) -> np.ndarray:
     return ok
 
 
-def _smoothed_polish(X, nb, edg, n, idx, scale, rounds=4, iters=200):
-    """Gradient descent on sum(sqrt(|e|^2 + eps^2)) for the flagged topologies.
+def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float) -> None:
+    """Damped Newton on the smoothed length of the topologies in ``rows``, in place.
 
-    The smoothed length is convex and differentiable, so plain descent with a
-    per-topology adaptive step escapes coordinate-descent stalls at coincident
-    branch points.  eps shrinks geometrically toward machine scale.
+    Coordinate descent stalls where coincident branch nodes want to move as
+    a block, and crawls where short edges couple branch nodes stiffly.  Both
+    are finished by Newton's method on sum_e sqrt(l_e^2 + eps^2) over all
+    branch nodes at once, which is smooth and strictly convex for eps > 0,
+    so zero-length edges need no special case.  The Hessian is assembled
+    from the edge blocks (I - u u^T) / l_eps with u = e / l_eps, and each
+    topology's step is halved until its smoothed length does not grow.  eps
+    steps from 1e-3 down to 1e-14 of the instance scale.  The iterate with
+    the shortest true length (the latest one on a tie) is written back, so
+    no topology gets longer.
     """
-    if len(idx) == 0:
-        return
-    Xf = X[idx].copy()
-    edgf = edg[idx]
-    nbf = nb[idx]
-    F = len(idx)
+    Y = X[rows]
+    F, _, d = Y.shape
+    s = n - 2
+    ends = edg[rows]
     f_idx = np.arange(F)[:, None]
-    s = nbf.shape[1]
+    # Row of each edge end among the branch nodes; terminals share a dropped row s.
+    a, b = np.moveaxis(np.where(ends >= n, ends - n, s), 2, 0)
 
-    def smoothed(Xc, eps2):
-        seg = Xc[f_idx, edgf[:, :, 0]] - Xc[f_idx, edgf[:, :, 1]]
-        return np.sqrt((seg**2).sum(axis=2) + eps2).sum(axis=1)
+    def segments(Z):
+        return Z[f_idx, ends[..., 0]] - Z[f_idx, ends[..., 1]]
 
-    def grad(Xc, eps2):
-        seg = Xc[f_idx, edgf[:, :, 0]] - Xc[f_idx, edgf[:, :, 1]]
-        L = np.sqrt((seg**2).sum(axis=2) + eps2)
-        G = seg / L[..., None]
-        g = np.zeros_like(Xc)
-        np.add.at(g, (f_idx, edgf[:, :, 0]), G)
-        np.add.at(g, (f_idx, edgf[:, :, 1]), -G)
-        g[:, :n] = 0.0
-        return g
+    def smoothed(Z, eps2):
+        return np.sqrt((segments(Z) ** 2).sum(axis=2) + eps2).sum(axis=1)
 
-    before = _total_lengths(Xf, edgf)
-    best = Xf.copy()
-    best_len = before.copy()
-    for r in range(rounds):
-        eps2 = (scale * 10.0 ** (-(4 + 2 * r))) ** 2
-        alpha = np.full(F, 0.05 * scale)
-        fval = smoothed(Xf, eps2)
-        for _ in range(iters):
-            g = grad(Xf, eps2)
-            gnorm = np.linalg.norm(g.reshape(F, -1), axis=1)
-            if gnorm.max() < 1e-14:
+    best, best_len = Y.copy(), _total_lengths(Y, ends)
+    for k in range(3, 15):
+        eps2 = (10.0**-k * scale) ** 2
+        fval = smoothed(Y, eps2)
+        for _ in range(30):
+            seg = segments(Y)
+            ell = np.sqrt((seg**2).sum(axis=2) + eps2)
+            u = seg / ell[..., None]
+            g = np.zeros((F, s + 1, d))
+            np.add.at(g, (f_idx, a), u)
+            np.add.at(g, (f_idx, b), -u)
+            P = (np.eye(d) - u[..., :, None] * u[..., None, :]) / ell[..., None, None]
+            H = np.zeros((F, s + 1, s + 1, d, d))
+            for i, j, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
+                np.add.at(H, (f_idx, i, j), sign * P)
+            H = H[:, :s, :s].transpose(0, 1, 3, 2, 4).reshape(F, s * d, s * d)
+            try:
+                step = np.linalg.solve(H, -g[:, :s].reshape(F, s * d, 1)).reshape(F, s, d)
+            except np.linalg.LinAlgError:
                 break
-            trial = Xf - (alpha / np.maximum(gnorm, 1e-300))[:, None, None] * g
-            ftrial = smoothed(trial, eps2)
-            accept = ftrial < fval
-            Xf[accept] = trial[accept]
-            fval[accept] = ftrial[accept]
-            alpha[accept] *= 1.2
-            alpha[~accept] *= 0.5
-            if alpha.max() < 1e-16 * scale:
+            if np.abs(step).max() <= 1e-16 * scale:
                 break
-        cur = _total_lengths(Xf, edgf)
-        better = cur < best_len
-        best[better] = Xf[better]
-        best_len[better] = cur[better]
-    # Never let the polish lose ground on true length.
-    improved = best_len <= before
-    X[idx[improved]] = best[improved]
+            t = np.ones(F)
+            pending = np.ones(F, dtype=bool)
+            for _ in range(50):
+                trial = Y.copy()
+                trial[:, n:] += t[:, None, None] * step
+                ftrial = smoothed(trial, eps2)
+                take = pending & (ftrial <= fval)
+                Y[take], fval[take] = trial[take], ftrial[take]
+                pending &= ~take
+                if not pending.any():
+                    break
+                t[pending] *= 0.5
+            if pending.all():
+                break
+            cur = _total_lengths(Y, ends)
+            better = cur <= best_len
+            best[better], best_len[better] = Y[better], cur[better]
+    X[rows] = best
 
 
 def _relax_batch(
@@ -704,35 +519,17 @@ def _relax_batch(
     ok = _stationarity_ok(X, nb, n, scale, tol)
     def near_min(flags: np.ndarray) -> np.ndarray:
         # Only topologies near the current best length matter downstream, so
-        # the expensive rescue phases skip far-from-minimal stalls and
-        # certified non-minimal ones; those keep an honest converged=False.
+        # the finisher skips far-from-minimal stalls and certified
+        # non-minimal ones; those keep an honest converged=False.
         lens_now = _total_lengths(X, edg)
         return flags & ~pruned & (lens_now <= lens_now.min() * (1.0 + 1e-3))
 
-    if not ok.all() and near_min(~ok).any():
-        # Stalled topologies near the minimum get rescued: joint median moves
-        # unstick coincident branch-node groups (per-node sweeps cannot
-        # translate a collapsed pair), then Newton on the contracted tree
-        # finishes the stiff slow crawls that coordinate descent cannot.
-        for _ in range(3):
-            flagged = np.flatnonzero(near_min(~ok))
-            if len(flagged) == 0:
-                break
-            for _ in range(25):
-                movers = [
-                    f for f in flagged if _cluster_pass(X[f], nb[f], n, scale, degen)
-                ]
-                if not movers:
-                    break
-                _gs_sweeps(X, nb, n, move_target, 200, rows=movers)
-            for f in flagged:
-                _newton_polish(X[f], nb[f], n, scale, degen)
-            _gs_sweeps(X, nb, n, move_target, 200, rows=flagged)
-            ok = _stationarity_ok(X, nb, n, scale, tol)
-    if not ok.all() and near_min(~ok).any():
-        flagged = np.flatnonzero(near_min(~ok))
-        _smoothed_polish(X, nb, edg, n, flagged, scale)
-        _gs_sweeps(X, nb, n, move_target, max(200, max_sweeps // 4), rows=flagged)
+    # No Fermat sweep follows the finisher: for a node about 1e-8 of the
+    # scale away from a neighbor, one rounding error of the Fermat kernel
+    # turns that edge's unit vector by about the stationarity tolerance.
+    flagged = np.flatnonzero(near_min(~ok))
+    if len(flagged):
+        _newton_finish(X, edg, n, flagged, scale)
         ok = _stationarity_ok(X, nb, n, scale, tol)
 
     lengths = _total_lengths(X, edg)
@@ -742,7 +539,7 @@ def _relax_batch(
         pruned[rest] = _lower_bounds(X[rest], nb[rest], edg[rest], n, degen) > cutoff
     pruned &= ~ok
     if trace is not None and (not trace or np.any(trace[-1] != lengths)):
-        trace.append(lengths)  # rescue phases run outside the sweep loop
+        trace.append(lengths)  # the finisher runs outside the sweep loop
     traces = trace if record_trace else None
     return X, lengths, ok, traces, pruned, sweeps
 

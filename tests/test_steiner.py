@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
 from minnet.geometry import DEFAULT_TOL, GeometryError, ToleranceConfig
+from minnet.ratio import caterpillar_topology
 from minnet.steiner import (
     EmbeddedTree,
     _gs_sweeps,
@@ -157,7 +158,8 @@ class TestRelaxTopology:
     def test_collapsed_pair_regression(self):
         # This instance/topology pair stalls plain coordinate descent with two
         # coincident branch nodes whose joint pull is ~0.53: only a joint
-        # translation (the cluster rescue) reaches stationarity.
+        # translation (the Newton finisher moves all nodes at once) reaches
+        # stationarity.
         rng = np.random.default_rng(3)
         pts = rng.uniform(0.0, 1.0, (5, 2))
         topo = enumerate_full_topologies(5)[7]
@@ -167,7 +169,7 @@ class TestRelaxTopology:
 
     def test_stiff_coupling_regression(self):
         # Short edges couple the branch nodes so stiffly that sweeps crawl;
-        # the contracted-tree Newton stage must certify these.
+        # the Newton finisher must certify these.
         rng = np.random.default_rng(123)
         found = 0
         for _ in range(10):
@@ -179,6 +181,16 @@ class TestRelaxTopology:
                 assert tree.converged, (n, int(k))
                 found += 1
         assert found > 0
+
+    def test_deep_collapsed_cluster(self):
+        # All six branch nodes of this caterpillar collapse into one point
+        # through five zero-length edges, so the optimum is a star of the
+        # eight terminals; only a joint move of the whole cluster reaches it.
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, (8, 3))
+        tree = relax_topology(pts, caterpillar_topology(8))
+        assert tree.converged
+        assert verify_tree(tree).n_degenerate_edges == 5
+        assert tree.length == pytest.approx(4.026095101419909, rel=1e-12)
 
     def test_rejects_wrong_terminal_count(self):
         topo = enumerate_full_topologies(4)[0]
