@@ -33,9 +33,9 @@ from .geometry import (
 )
 from .steiner import (
     _contract,
-    _groups,
     _gs_sweeps,
     _harmonic_init,
+    _labels,
     _tables,
     _total_lengths,
     instance_scale,
@@ -684,7 +684,8 @@ def _merge_terminals(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
     close = [(i, j) for i in range(n) for j in range(i + 1, n)]
     close = [(i, j) for i, j in close if np.linalg.norm(pts[i] - pts[j]) <= 2.0 * r]
     centers, radii = [], []
-    for members in _groups(n, close):
+    lab = _labels(n, close)
+    for members in (np.flatnonzero(lab == root) for root in np.unique(lab)):
         cluster = pts[members]
         c, rad = _miniball(cluster)
         if rad <= r:
@@ -873,7 +874,7 @@ def _topology_surgery(V, E, samples, r, tol, scale):
     # Merge vertices that collapsed onto each other, then drop parallel edges.
     thresh = tol.eps_len * scale
     V, pairs = _contract(V, E, thresh)
-    E = list(dict.fromkeys((min(u, v), max(u, v)) for u, v in pairs))
+    E = list(dict.fromkeys((min(u, v), max(u, v)) for u, v in pairs.tolist()))
 
     # Fermat-split sharp corners at degree-2 vertices.
     adj = _adjacency(len(V), E)
@@ -1043,12 +1044,10 @@ def verify_mdm(
     edges = [(int(u), int(v)) for u, v in net.edges]
     # A graph is a forest iff |E| = |V| - #components (parallel edges and
     # loops, zero-length ones included, count as cycles).
-    n_components = len(_groups(len(V), edges))
+    n_components = len(np.unique(_labels(len(V), edges)))
     has_cycle = len(edges) > len(V) - n_components
     short = [bool(np.linalg.norm(V[u] - V[v]) <= thresh) for u, v in edges]
-    rep = np.arange(len(V))
-    for members in _groups(len(V), [e for e, z in zip(edges, short) if z]):
-        rep[members] = members[0]
+    rep = _labels(len(V), [e for e, z in zip(edges, short) if z])
     quotient_edges = []
     seen = set()
     for (u, v), z in zip(edges, short):
@@ -1075,7 +1074,7 @@ def verify_mdm(
         angles.append((vtx, float(min(pairs))))
         if len(nbrs) == 2 and pairs[0] >= np.pi - tol.eps_angle:
             straight.append((nbrs[0][1], nbrs[1][1]))
-    segment_count = len(_groups(len(quotient_edges), straight))
+    segment_count = len(np.unique(_labels(len(quotient_edges), straight)))
     min_angle = min((a for _, a in angles), default=float(np.pi))
     return MdmReport(
         has_cycle=has_cycle,

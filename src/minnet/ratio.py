@@ -9,9 +9,11 @@ honest at sizes where full enumeration is off the table.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import Delaunay, QhullError
 
 from .geometry import DEFAULT_TOL, GeometryError, ToleranceConfig
 from .steiner import relax_topology, solve_exact
@@ -37,31 +39,77 @@ class MstResult:
 def mst(points) -> MstResult:
     """Exact Euclidean minimum spanning tree (Prim, ties broken by index).
 
-    Vectorized over the candidate frontier, so it stays usable for the
-    thousands-of-points instances the experiment harness feeds it.
+    The frontier is a heap keyed ``(dist, vertex)``, so the first minimal
+    index wins a tie; a source changes only on strict improvement.  In
+    d = 2 and 3 the candidate edges are Delaunay edges, which is exact: a
+    point inside the closed diametral ball of a shortest cut edge uv would
+    be closer than |uv| to both u and v, so it would give a shorter cut edge
+    on either side of the cut.  So uv is an edge of every Delaunay
+    triangulation, and Prim picks the same vertex and source as over all
+    pairs.  Duplicates join their first copy by zero-length edges.
+    Other dimensions, and sets Qhull cannot triangulate (too few distinct
+    points, collinear, coplanar), take all pairs as candidates.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise GeometryError(f"mst needs >= 2 points, got shape {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        raise GeometryError("mst needs finite coordinates")
     n = pts.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_dist = np.linalg.norm(pts - pts[0], axis=1)
-    best_src = np.zeros(n, dtype=int)
-    best_dist[0] = np.inf
+    row = _delaunay_rows(pts)
+    if row is None:
+        every = np.arange(n)
+
+        def row(v):
+            return every, np.linalg.norm(pts - pts[v], axis=1)
+
+    best = np.full(n, np.inf)
+    src = np.zeros(n, dtype=int)
+    heap: list[tuple[float, int]] = []
     edges: list[tuple[int, int]] = []
     total = 0.0
+    v = 0
     for _ in range(n - 1):
-        cand = np.where(in_tree, np.inf, best_dist)
-        v = int(np.argmin(cand))  # first minimal index: deterministic ties
-        edges.append((int(best_src[v]), v))
-        total += float(best_dist[v])
-        in_tree[v] = True
-        dist_v = np.linalg.norm(pts - pts[v], axis=1)
-        closer = ~in_tree & (dist_v < best_dist)  # strict: keep earlier source
-        best_dist[closer] = dist_v[closer]
-        best_src[closer] = v
+        best[v] = -np.inf  # in the tree: never improved again
+        idx, dist = row(v)
+        closer = dist < best[idx]  # strict: keep earlier source
+        w = idx[closer]
+        best[w], src[w] = dist[closer], v
+        for item in zip(dist[closer].tolist(), w.tolist()):
+            heapq.heappush(heap, item)
+        while True:
+            dv, v = heapq.heappop(heap)
+            if dv == best[v]:  # skip stale and in-tree entries
+                break
+        edges.append((int(src[v]), v))
+        total += dv
     return MstResult(edges=edges, length=total)
+
+
+def _delaunay_rows(pts: np.ndarray):
+    """``row(v) -> (Delaunay neighbours, distances)``, or None to use all pairs."""
+    n, d = pts.shape
+    if d not in (2, 3):
+        return None
+    uniq, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    if len(uniq) <= d + 1:
+        return None
+    try:
+        tri = Delaunay(uniq)
+    except QhullError:
+        return None
+    if len(tri.coplanar):  # points Qhull left out of the triangulation
+        return None
+    simp = first[tri.simplices]
+    a, b = np.triu_indices(d + 1, 1)
+    rep = first[inverse.reshape(-1)]
+    dup = np.flatnonzero(rep != np.arange(n))
+    u = np.concatenate([simp[:, a].ravel(), rep[dup]])
+    w = np.concatenate([simp[:, b].ravel(), dup])
+    src, nbr = np.divmod(np.unique(np.concatenate([u * n + w, w * n + u])), n)
+    dist = np.linalg.norm(pts[nbr] - pts[src], axis=1)
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    return lambda v: (nbr[ptr[v] : ptr[v + 1]], dist[ptr[v] : ptr[v + 1]])
 
 
 def steiner_ratio(points, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -31,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .geometry import (
     DEFAULT_TOL,
     GeometryError,
     ToleranceConfig,
-    angle_at,
     fermat_point_triples,
 )
 from .topology import Topology, enumerate_full_topologies
@@ -293,35 +295,23 @@ def _unit_vectors(X, nb, n):
     return vec, lens
 
 
-def _groups(m: int, pairs) -> list[list[int]]:
-    """Connected components of nodes ``0..m-1`` joined by ``pairs``.
+def _labels(m: int, pairs) -> np.ndarray:
+    """Component of each node ``0..m-1`` under ``pairs``, named by its smallest node.
 
-    Members are listed in increasing order and components in the order of
-    their first member, whatever the union order, so tie-breaks that follow
-    list order are stable.
+    The one connected-components helper: labels ordered like their first
+    member give stable tie-breaks whatever the pair order.
     """
-    parent = list(range(m))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for v in range(m):
-        groups.setdefault(find(v), []).append(v)
-    return list(groups.values())
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(m, m))
+    comp = connected_components(graph, directed=False)[1]
+    return np.unique(comp, return_index=True)[1][comp]
 
 
-def _short_pairs(lens: np.ndarray, nb: np.ndarray, n: int, degen: float):
-    """(branch node, neighbor) pairs of one topology joined by an edge <= degen."""
-    i, k = np.nonzero(lens <= degen)
-    return zip((n + i).tolist(), nb[i, k].tolist())
+def _cluster_roots(T: int, m: int, t, a, b) -> np.ndarray:
+    """(T, m) smallest node of each node's cluster, node pairs (a, b) of topology t joined."""
+    offset = np.arange(T) * m
+    pairs = np.column_stack([a + offset[t], b + offset[t]])
+    return _labels(T * m, pairs).reshape(T, m) - offset[:, None]
 
 
 def _connected_subsets(nodes: list[int], adj: dict[int, set[int]]) -> list[list[int]]:
@@ -401,10 +391,13 @@ def _stationarity_ok(X, nb, n, scale, tol: ToleranceConfig) -> np.ndarray:
     # Topologies with degenerate edges get a per-topology cluster analysis.
     has_degen = np.flatnonzero(~nondeg_node.all(axis=1))
     d = X.shape[2]
-    for t in has_degen:
-        for members in _groups(n + s, _short_pairs(lens[t], nb[t], n, degen)):
-            if len(members) < 2 or not ok[t]:
-                continue
+    h, i, k = np.nonzero(lens[has_degen] <= degen)
+    roots = _cluster_roots(len(has_degen), n + s, h, n + i, nb[has_degen[h], i, k])
+    for t, root in zip(has_degen, roots):
+        for c in np.flatnonzero(np.bincount(root) >= 2):
+            if not ok[t]:
+                break
+            members = np.flatnonzero(root == c).tolist()
             for _, ext, cap in _cluster_subsets(members, nb[t], lens[t], n, degen):
                 res = [sum((units[t, i, k] for i, k in slots), np.zeros(d)) for slots in ext]
                 if np.linalg.norm(sum(res, np.zeros(d))) > cap + res_tol:
@@ -413,7 +406,7 @@ def _stationarity_ok(X, nb, n, scale, tol: ToleranceConfig) -> np.ndarray:
     return ok
 
 
-def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float) -> None:
+def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float) -> None:
     """Damped Newton on the smoothed length of the topologies in ``rows``, in place.
 
     Coordinate descent stalls where coincident branch nodes want to move as
@@ -424,8 +417,11 @@ def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float) -> None:
     from the edge blocks (I - u u^T) / l_eps with u = e / l_eps, and each
     topology's step is halved until its smoothed length does not grow.  eps
     steps from 1e-3 down to 1e-14 of the instance scale.  The iterate with
-    the shortest true length (the latest one on a tie) is written back, so
-    no topology gets longer.
+    the shortest true length (the latest one on a tie) is kept, so no
+    topology gets longer.  The smoothed optimum leaves collapsed nodes about
+    eps apart, so each cluster of nodes joined by edges <= ``degen`` is then
+    snapped onto its first terminal, or onto its mean if it holds none,
+    wherever that does not lengthen the topology.
     """
     Y = X[rows]
     F, _, d = Y.shape
@@ -480,6 +476,17 @@ def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float) -> None:
             cur = _total_lengths(Y, ends)
             better = cur <= best_len
             best[better], best_len[better] = Y[better], cur[better]
+    m = n + s
+    f, e = np.nonzero(np.linalg.norm(segments(best), axis=2) <= degen)
+    root = _cluster_roots(F, m, f, ends[f, e, 0], ends[f, e, 1])
+    flat = (root + f_idx * m).ravel()
+    mean = np.zeros((F * m, d))
+    np.add.at(mean, flat, best.reshape(-1, d))
+    mean /= np.bincount(flat, minlength=F * m).clip(1)[:, None]
+    snap = best.copy()
+    snap[:, n:] = np.where((root < n)[..., None], best[f_idx, root], mean[flat].reshape(F, m, d))[:, n:]
+    better = _total_lengths(snap, ends) <= best_len
+    best[better] = snap[better]
     X[rows] = best
 
 
@@ -529,7 +536,7 @@ def _relax_batch(
     # turns that edge's unit vector by about the stationarity tolerance.
     flagged = np.flatnonzero(near_min(~ok))
     if len(flagged):
-        _newton_finish(X, edg, n, flagged, scale)
+        _newton_finish(X, edg, n, flagged, scale, degen)
         ok = _stationarity_ok(X, nb, n, scale, tol)
 
     lengths = _total_lengths(X, edg)
@@ -672,7 +679,7 @@ def solve_exact(
 
 
 def _contract(coords: np.ndarray, edges, degen: float):
-    """Merge endpoints of degenerate edges; returns (positions, edge pairs).
+    """Merge endpoints of degenerate edges; returns (positions, (k, 2) edge pairs).
 
     Each surviving vertex is the mean of its merged cluster.  Surviving edges
     keep one entry per original edge whose endpoints landed in different
@@ -680,57 +687,77 @@ def _contract(coords: np.ndarray, edges, degen: float):
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     short = np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1) <= degen
-    clusters = _groups(len(coords), e[short].tolist())
-    index_of = np.empty(len(coords), dtype=np.int64)
-    index_of[[v for members in clusters for v in members]] = np.repeat(
-        np.arange(len(clusters)), [len(members) for members in clusters]
-    )
-    positions = coords[[members[0] for members in clusters]]
-    for new_idx, members in enumerate(clusters):
-        if len(members) > 1:
-            positions[new_idx] = coords[members].mean(axis=0)
-    ru, rv = index_of[e[:, 0]], index_of[e[:, 1]]
-    cut = ru != rv
-    return positions, list(zip(ru[cut].tolist(), rv[cut].tolist()))
+    index_of = np.unique(_labels(len(coords), e[short]), return_inverse=True)[1]
+    positions = np.zeros((index_of.max() + 1, coords.shape[1]))
+    np.add.at(positions, index_of, coords)
+    positions /= np.bincount(index_of)[:, None]
+    pairs = index_of[e]
+    return positions, pairs[pairs[:, 0] != pairs[:, 1]]
+
+
+def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, rounded exactly as numpy's 1-d ``u @ w``."""
+    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    """Row-wise lengths, rounded exactly as ``np.linalg.norm`` of one row."""
+    return np.sqrt(_dot(u, u))
+
+
+def _segment_sphere(seg: np.ndarray, center: np.ndarray, radius: float):
+    """Per segment p + s v: (v, a, b, disc, sorted roots) of |p + s v - center| = radius."""
+    v = seg[:, 1] - seg[:, 0]
+    w = seg[:, 0] - center
+    a = _dot(v, v)
+    b = 2.0 * _dot(w, v)
+    disc = b * b - 4.0 * a * (_dot(w, w) - radius * radius)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sq = np.sqrt(disc)
+        roots = np.stack([(-b - sq) / (2 * a), (-b + sq) / (2 * a)], axis=1)
+    return v, a, b, disc, roots
 
 
 def verify_tree(tree: EmbeddedTree, tol: ToleranceConfig = DEFAULT_TOL) -> TreeReport:
-    """Structural and angle report after contracting degenerate edges."""
+    """Structural and angle report after contracting degenerate edges.
+
+    Array-wide over all edges.  Angles are taken between every two distinct
+    neighbours of every contracted vertex with Kahan's formula, as in
+    ``geometry.angle_at``.
+    """
     coords = tree.coords()
-    scale = tree.scale()
-    degen = tol.eps_len * scale
-    edge_list = list(tree.topology.edges)
-    degenerate = tuple(
-        (u, v) for u, v in edge_list if np.linalg.norm(coords[u] - coords[v]) <= degen
-    )
-    positions, new_edges = _contract(coords, edge_list, degen)
+    degen = tol.eps_len * tree.scale()
+    e = np.asarray(tree.topology.edges, dtype=np.int64).reshape(-1, 2)
+    lens = _norm(coords[e[:, 0]] - coords[e[:, 1]])
+    degenerate = tuple(map(tuple, e[lens <= degen].tolist()))
+    positions, pairs = _contract(coords, e, degen)
 
-    length = float(
-        sum(np.linalg.norm(coords[u] - coords[v]) for u, v in edge_list)
-    )
     v_count = len(positions)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(v_count)}
-    multi = False
-    for u, v in new_edges:
-        if v in adjacency[u]:
-            multi = True
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    connected = len(_groups(v_count, new_edges)) == 1
-    is_tree = (len(new_edges) == v_count - 1) and connected and not multi
+    # Connected with v - 1 edges is a tree; no parallel edges can remain.
+    is_tree = len(pairs) == v_count - 1 and not _labels(v_count, pairs).any()
+    links = np.unique(np.sort(pairs, axis=1), axis=0)  # parallel edges once
+    max_degree = int(np.bincount(links.ravel(), minlength=v_count).max())
 
-    max_degree = max((len(a) for a in adjacency.values()), default=0)
+    # Both directions of every link, grouped by vertex; pairs of neighbours
+    # of one vertex sit `gap` places apart for some gap < max_degree.
+    arcs = np.concatenate([links, links[:, ::-1]])
+    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
+    triples = [
+        np.column_stack([arcs[:-gap, 0], arcs[:-gap, 1], arcs[gap:, 1]])[arcs[:-gap, 0] == arcs[gap:, 0]]
+        for gap in range(1, max_degree)
+    ]
     min_angle = None
-    for v, nbrs in adjacency.items():
-        nb_list = sorted(nbrs)
-        for i in range(len(nb_list)):
-            for j in range(i + 1, len(nb_list)):
-                ang = angle_at(positions[v], positions[nb_list[i]], positions[nb_list[j]])
-                if min_angle is None or ang < min_angle:
-                    min_angle = ang
+    if triples:
+        v, a, b = np.concatenate(triples).T
+        u, w = positions[a] - positions[v], positions[b] - positions[v]
+        nu, nw = _norm(u)[:, None], _norm(w)[:, None]
+        if not (nu.all() and nw.all()):
+            raise GeometryError("degenerate ray: endpoints must differ from the vertex")
+        x, y = u * nw, w * nu
+        min_angle = float((2.0 * np.arctan2(_norm(x - y), _norm(x + y))).min())
     angles_ok = min_angle is None or min_angle >= MIN_BRANCH_ANGLE - tol.eps_angle
     return TreeReport(
-        length=length,
+        length=float(sum(lens.tolist())),  # in edge order
         is_tree=is_tree,
         max_degree=max_degree,
         min_angle=min_angle,
@@ -738,27 +765,6 @@ def verify_tree(tree: EmbeddedTree, tol: ToleranceConfig = DEFAULT_TOL) -> TreeR
         degenerate_edges=degenerate,
         angles_ok=angles_ok,
     )
-
-
-def _sphere_hits(p, q, center, radius):
-    """Roots s in [0, 1] of |p + s(q-p) - center| = radius, plus approach data."""
-    v = q - p
-    a = float(v @ v)
-    w = p - center
-    if a == 0.0:
-        return [], float(abs(np.linalg.norm(w) - radius)), None
-    b = 2.0 * float(w @ v)
-    c = float(w @ w) - radius * radius
-    disc = b * b - 4.0 * a * c
-    s_star = min(1.0, max(0.0, -b / (2.0 * a)))
-    approach = abs(float(np.linalg.norm(w + s_star * v)) - radius)
-    if disc < 0.0:
-        return [], approach, None
-    sq = np.sqrt(disc)
-    roots = sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
-    hits = [s for s in roots if 0.0 <= s <= 1.0]
-    gap = roots[1] - roots[0]
-    return hits, approach, gap
 
 
 def count_crossings(
@@ -772,69 +778,47 @@ def count_crossings(
 
     Tangential touches contribute a single point; intersection points shared
     by two edges (a vertex sitting on the sphere) are deduplicated by
-    location.  When an edge runs within ``coverage_eps`` of the sphere
-    without cleanly crossing it -- so that an infinitesimal wiggle would
-    change the count -- the report carries a ``degenerate`` flag.
+    location, the first in edge order kept.  When an edge runs within
+    ``coverage_eps`` of the sphere without cleanly crossing it -- so that an
+    infinitesimal wiggle would change the count -- the report carries a
+    ``degenerate`` flag.  The roots of all edges are taken at once.
     """
     if not (r > 0.0 and 0.0 < t):
         raise GeometryError("need r > 0 and t > 0")
     x = np.asarray(center, dtype=float)
     radius = t * r
     flag_eps = tol.coverage_eps
-    pts: list[np.ndarray] = []
-    degenerate = False
-    for seg in tree.segments():
-        p, q = seg
-        hits, approach, gap = _sphere_hits(p, q, x, radius)
-        if len(hits) == 2 and gap is not None:
-            # Near-double root: a grazing pass that a perturbation could
-            # turn into zero or one hit.
-            if gap * np.linalg.norm(q - p) <= flag_eps:
-                hits = hits[:1]
-                degenerate = True
-        if not hits and approach <= flag_eps:
-            degenerate = True
-        for s in hits:
-            pts.append(p + s * (q - p))
-        for endpoint in (p, q):
-            d_end = abs(float(np.linalg.norm(endpoint - x)) - radius)
-            if d_end <= flag_eps:
-                degenerate = True
+    seg = tree.segments()
+    v, a, b, disc, roots = _segment_sphere(seg, x, radius)
+    hit = ((a > 0.0) & (disc >= 0.0))[:, None] & (roots >= 0.0) & (roots <= 1.0)
+    # Near-double root: a grazing pass that a perturbation could turn into
+    # zero or one hit.
+    grazing = hit.all(axis=1) & ((roots[:, 1] - roots[:, 0]) * np.sqrt(a) <= flag_eps)
+    hit[grazing, 1] = False
+    with np.errstate(invalid="ignore", divide="ignore"):
+        s_star = np.where(a > 0.0, np.clip(-b / (2.0 * a), 0.0, 1.0), 0.0)
+    approach = np.abs(_norm(seg[:, 0] - x + s_star[:, None] * v) - radius)
+    on_sphere = np.abs(_norm(seg - x) - radius) <= flag_eps
+    lone = ~hit.any(axis=1) & (approach <= flag_eps)  # no hit, but grazes the sphere
+    degenerate = bool(grazing.any() or lone.any() or on_sphere.any())
+    pts = (seg[:, None, 0] + roots[..., None] * v[:, None])[hit]
     # Deduplicate by location (vertex-on-sphere shared by adjacent edges).
-    dedup: list[np.ndarray] = []
-    dedup_tol = 1e-9 * max(radius, 1.0)
-    for point in pts:
-        if not any(np.linalg.norm(point - other) <= dedup_tol for other in dedup):
-            dedup.append(point)
-    arr = np.asarray(dedup) if dedup else np.empty((0, x.shape[0]))
-    return CrossingReport(count=len(dedup), degenerate=degenerate, points=arr)
+    keep = np.ones(len(pts), dtype=bool)
+    close = cKDTree(pts).query_pairs(1e-9 * max(radius, 1.0), output_type="ndarray")
+    for i, j in close[np.lexsort(close.T)].tolist():
+        if keep[i]:
+            keep[j] = False
+    return CrossingReport(count=int(keep.sum()), degenerate=degenerate, points=pts[keep])
 
 
 def length_in_ball(tree: EmbeddedTree, center, r: float, t: float) -> float:
-    """Exact length of the tree inside the closed ball of radius t*r."""
+    """Exact length of the tree inside the closed ball of radius t*r, all edges at once."""
     if not (r > 0.0 and 0.0 < t):
         raise GeometryError("need r > 0 and t > 0")
-    x = np.asarray(center, dtype=float)
-    radius = t * r
-    total = 0.0
-    for seg in tree.segments():
-        p, q = seg
-        v = q - p
-        a = float(v @ v)
-        if a == 0.0:
-            continue
-        w = p - x
-        b = 2.0 * float(w @ v)
-        c = float(w @ w) - radius * radius
-        disc = b * b - 4.0 * a * c
-        if disc <= 0.0:
-            continue
-        sq = np.sqrt(disc)
-        lo = max(0.0, (-b - sq) / (2 * a))
-        hi = min(1.0, (-b + sq) / (2 * a))
-        if hi > lo:
-            total += (hi - lo) * np.sqrt(a)
-    return float(total)
+    _, a, _, disc, roots = _segment_sphere(tree.segments(), np.asarray(center, dtype=float), t * r)
+    chord = np.minimum(roots[:, 1], 1.0) - np.maximum(roots[:, 0], 0.0)
+    inside = (a > 0.0) & (disc > 0.0) & (chord > 0.0)
+    return float(sum((chord[inside] * np.sqrt(a[inside])).tolist()))  # in edge order
 
 
 def count_branching_in_ball(
@@ -844,17 +828,10 @@ def count_branching_in_ball(
     t: float,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> int:
-    """Branch points (degree >= 3 after contraction) strictly inside B(center, t*r)."""
+    """Branch points (contracted degree >= 3, one bincount) strictly inside B(center, t*r)."""
     if not (r > 0.0 and 0.0 < t):
         raise GeometryError("need r > 0 and t > 0")
-    x = np.asarray(center, dtype=float)
-    radius = t * r
-    coords = tree.coords()
-    degen = tol.eps_len * tree.scale()
-    positions, new_edges = _contract(coords, list(tree.topology.edges), degen)
-    degree = np.zeros(len(positions), dtype=int)
-    for u, v in new_edges:
-        degree[u] += 1
-        degree[v] += 1
-    inside = np.linalg.norm(positions - x, axis=1) < radius
+    positions, pairs = _contract(tree.coords(), tree.topology.edges, tol.eps_len * tree.scale())
+    degree = np.bincount(pairs.ravel(), minlength=len(positions))
+    inside = np.linalg.norm(positions - np.asarray(center, dtype=float), axis=1) < t * r
     return int(((degree >= 3) & inside).sum())

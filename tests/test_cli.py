@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,3 +388,56 @@ class TestRender:
         assert "project" in _err_line(capsys)
         assert cli_dispatch(["render", "--in", out, "--out", svg_path, "--project"]) == EXIT_OK
         assert "orthographic projection" in open(svg_path).read()
+
+
+DEGENERATE_TERMINALS = {
+    "collinear": [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [3.5, 1.75]],
+    "duplicated": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.5, 0.8], [1.0, 0.0]],
+    "coplanar3d": [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.4, 0.3, 1.0]],
+    "two": [[0.0, 0.0], [3.0, 4.0]],
+}
+
+# exp run builds its own points: two terminals, a coplanar 3-d ring, a
+# three-point lattice clip, and a one-point row that must fail on its own.
+DEGENERATE_ROWS = [
+    {"generator": "random", "n": 2, "solver": "heuristic", "seed": 3},
+    {"generator": "zigzag", "n": 2, "solver": "heuristic"},
+    {"generator": "homothety", "n_gon": 6, "k_max": 0, "solver": "heuristic"},
+    {"generator": "lattice", "n": 3, "solver": "heuristic"},
+    {"generator": "random", "n": 1, "solver": "heuristic"},
+]
+
+
+def _run_cli(argv):
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "minnet.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+
+
+def _assert_documented_exit(proc):
+    assert proc.returncode in (EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_UNCONVERGED), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode != EXIT_OK:
+        lines = [l for l in proc.stderr.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("minnet: error: ")
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_TERMINALS))
+    @pytest.mark.parametrize("command", ["ratio", "solve"])
+    def test_steiner_commands(self, tmp_path, name, command):
+        terms = DEGENERATE_TERMINALS[name]
+        inst = _write(tmp_path, "inst.json", {"dim": len(terms[0]), "problem": "steiner", "terminals": terms})
+        _assert_documented_exit(_run_cli(["steiner", command, "--in", inst]))
+
+    def test_exp_run_heuristic_rows(self, tmp_path):
+        rows = _write(tmp_path, "rows.json", DEGENERATE_ROWS)
+        out = str(tmp_path / "runs.json")
+        proc = _run_cli(["exp", "run", "--in", rows, "--out", out])
+        _assert_documented_exit(proc)
+        assert proc.returncode == EXIT_OK
+        errors = [run["error"] for run in json.loads(open(out).read())]
+        assert sum(bool(e) for e in errors) == 1

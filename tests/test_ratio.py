@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
+from minnet.experiments import hex_lattice_instance
 from minnet.geometry import GeometryError
 from minnet.ratio import (
     caterpillar_ratio,
@@ -75,6 +76,69 @@ class TestMst:
         assert abs(res.length - scipy_mst_length(pts)) <= 1e-9 * max(1.0, res.length)
         diam = pdist(pts).max()
         assert res.length >= diam - 1e-12
+
+
+def dense_prim_oracle(points):
+    """Prim over all pairs: the first minimal index wins, sources change on strict improvement."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_dist = np.linalg.norm(pts - pts[0], axis=1)
+    best_src = np.zeros(n, dtype=int)
+    best_dist[0] = np.inf
+    edges = []
+    total = 0.0
+    for _ in range(n - 1):
+        v = int(np.argmin(np.where(in_tree, np.inf, best_dist)))
+        edges.append((int(best_src[v]), v))
+        total += float(best_dist[v])
+        in_tree[v] = True
+        dist_v = np.linalg.norm(pts - pts[v], axis=1)
+        closer = ~in_tree & (dist_v < best_dist)
+        best_dist[closer] = dist_v[closer]
+        best_src[closer] = v
+    return edges, total
+
+
+def _oracle_inputs():
+    rng = np.random.default_rng(2024)
+    cases = {f"hex{k}": hex_lattice_instance(k) for k in (40, 150, 500, 1024)}
+    grid = np.stack(np.meshgrid(np.arange(17), np.arange(11)), -1).reshape(-1, 2)
+    cases["grid2d"] = grid.astype(float)
+    cases["grid3d"] = np.stack(np.meshgrid(*[np.arange(5)] * 3), -1).reshape(-1, 3).astype(float)
+    cases["unit_square"] = UNIT_SQUARE
+    base = rng.random((60, 2))
+    cases["duplicates"] = np.vstack([base, base[:20], base[:3]])[rng.permutation(83)]
+    cases["all_equal"] = np.ones((40, 2))
+    t = rng.random(120)
+    cases["collinear2d"] = np.column_stack([t, 1.0 - 2.0 * t])
+    flat = rng.random((120, 2))
+    cases["coplanar3d"] = np.column_stack([flat, flat @ [0.25, -0.5] + 1.0])
+    cases["one_dim"] = rng.random((50, 1))
+    for n in (2, 3, 4, 5):
+        cases[f"n{n}"] = rng.random((n, 2))
+    for n in (64, 512, 2048):
+        cases[f"uniform2d_{n}"] = rng.random((n, 2))
+        cases[f"uniform3d_{n}"] = rng.random((n, 3))
+    return cases
+
+
+ORACLE_INPUTS = _oracle_inputs()
+
+
+class TestMstMatchesDensePrim:
+    @pytest.mark.parametrize("name", sorted(ORACLE_INPUTS))
+    def test_same_edges_and_length(self, name):
+        pts = ORACLE_INPUTS[name]
+        res = mst(pts)
+        edges, total = dense_prim_oracle(pts)
+        assert res.edges == edges
+        assert res.length == total
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(GeometryError):
+            mst([[0.0, 0.0], [np.nan, 1.0]])
 
 
 class TestSteinerRatio:

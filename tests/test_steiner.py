@@ -8,10 +8,12 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from minnet.geometry import DEFAULT_TOL, GeometryError, ToleranceConfig
+from minnet.experiments import heuristic_steiner, hex_lattice_instance
+from minnet.geometry import DEFAULT_TOL, GeometryError, ToleranceConfig, angle_at
 from minnet.ratio import caterpillar_topology
 from minnet.steiner import (
     EmbeddedTree,
+    TreeReport,
     _gs_sweeps,
     _harmonic_init,
     _lower_bounds,
@@ -191,6 +193,23 @@ class TestRelaxTopology:
         assert tree.converged
         assert verify_tree(tree).n_degenerate_edges == 5
         assert tree.length == pytest.approx(4.026095101419909, rel=1e-12)
+
+    def test_collapsed_branch_nodes_coincide_exactly(self):
+        # The smoothed Newton optimum leaves collapsed branch nodes ~1e-14 of
+        # the scale apart; the finisher snaps each cluster onto one point.
+        rng = np.random.default_rng(36)
+        collapsed = []
+        for n in range(8, 13):
+            for _ in range(7):
+                pts = rng.random((n, 3))
+                tree = relax_topology(pts, caterpillar_topology(n))
+                coords, degen = tree.coords(), DEFAULT_TOL.eps_len * instance_scale(pts)
+                for u, v in tree.topology.edges:
+                    gap = float(np.linalg.norm(coords[u] - coords[v]))
+                    if u >= n and v >= n and gap <= degen:
+                        collapsed.append(gap)
+        assert len(collapsed) == 123
+        assert all(gap == 0.0 for gap in collapsed)
 
     def test_rejects_wrong_terminal_count(self):
         topo = enumerate_full_topologies(4)[0]
@@ -533,3 +552,242 @@ class TestCountBranchingInBall:
         # terminal; after contraction its degree is 2, so no branching.
         res = solve_exact([(0.0, 0.0), (1.0, 0.0), (0.5, 0.05)])
         assert count_branching_in_ball(res.tree, (0.5, 0.05), 0.5, 0.9) == 0
+
+
+# ---------------------------------------------------------------------------
+# per-edge oracles for the array-wide verification and ball statistics
+
+
+def _oracle_contract(coords, edges, degen):
+    parent = list(range(len(coords)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    short = np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1) <= degen
+    for (u, v), z in zip(e.tolist(), short):
+        if z and find(u) != find(v):
+            parent[find(u)] = find(v)
+    clusters = {}
+    for v in range(len(coords)):
+        clusters.setdefault(find(v), []).append(v)
+    groups = list(clusters.values())
+    index_of = {v: i for i, members in enumerate(groups) for v in members}
+    positions = np.array([coords[members].mean(axis=0) for members in groups])
+    pairs = [(index_of[u], index_of[v]) for u, v in e.tolist() if index_of[u] != index_of[v]]
+    return positions, pairs
+
+
+def oracle_verify_tree(tree, tol=DEFAULT_TOL):
+    coords = tree.coords()
+    degen = tol.eps_len * tree.scale()
+    edge_list = list(tree.topology.edges)
+    degenerate = tuple(
+        (u, v) for u, v in edge_list if np.linalg.norm(coords[u] - coords[v]) <= degen
+    )
+    positions, new_edges = _oracle_contract(coords, edge_list, degen)
+    length = float(sum(np.linalg.norm(coords[u] - coords[v]) for u, v in edge_list))
+    adjacency = {i: set() for i in range(len(positions))}
+    multi = False
+    for u, v in new_edges:
+        multi |= v in adjacency[u]
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    connected = len(seen) == len(positions)
+    is_tree = len(new_edges) == len(positions) - 1 and connected and not multi
+    min_angle = None
+    for v, nbrs in adjacency.items():
+        nb_list = sorted(nbrs)
+        for i in range(len(nb_list)):
+            for j in range(i + 1, len(nb_list)):
+                ang = angle_at(positions[v], positions[nb_list[i]], positions[nb_list[j]])
+                if min_angle is None or ang < min_angle:
+                    min_angle = ang
+    return TreeReport(
+        length=length,
+        is_tree=is_tree,
+        max_degree=max((len(a) for a in adjacency.values()), default=0),
+        min_angle=min_angle,
+        n_degenerate_edges=len(degenerate),
+        degenerate_edges=degenerate,
+        angles_ok=min_angle is None or min_angle >= MIN_ANGLE - tol.eps_angle,
+    )
+
+
+def _oracle_sphere_hits(p, q, center, radius):
+    v = q - p
+    a = float(v @ v)
+    w = p - center
+    if a == 0.0:
+        return [], float(abs(np.linalg.norm(w) - radius)), None
+    b = 2.0 * float(w @ v)
+    c = float(w @ w) - radius * radius
+    disc = b * b - 4.0 * a * c
+    s_star = min(1.0, max(0.0, -b / (2.0 * a)))
+    approach = abs(float(np.linalg.norm(w + s_star * v)) - radius)
+    if disc < 0.0:
+        return [], approach, None
+    sq = np.sqrt(disc)
+    roots = sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a)))
+    return [s for s in roots if 0.0 <= s <= 1.0], approach, roots[1] - roots[0]
+
+
+def oracle_count_crossings(tree, center, r, t, tol=DEFAULT_TOL):
+    x = np.asarray(center, dtype=float)
+    radius = t * r
+    pts, degenerate = [], False
+    for p, q in tree.segments():
+        hits, approach, gap = _oracle_sphere_hits(p, q, x, radius)
+        if len(hits) == 2 and gap * np.linalg.norm(q - p) <= tol.coverage_eps:
+            hits = hits[:1]
+            degenerate = True
+        if not hits and approach <= tol.coverage_eps:
+            degenerate = True
+        pts.extend(p + s * (q - p) for s in hits)
+        for endpoint in (p, q):
+            if abs(float(np.linalg.norm(endpoint - x)) - radius) <= tol.coverage_eps:
+                degenerate = True
+    dedup = []
+    for point in pts:
+        if not any(np.linalg.norm(point - other) <= 1e-9 * max(radius, 1.0) for other in dedup):
+            dedup.append(point)
+    arr = np.asarray(dedup) if dedup else np.empty((0, x.shape[0]))
+    return len(dedup), degenerate, arr
+
+
+def oracle_length_in_ball(tree, center, r, t):
+    x = np.asarray(center, dtype=float)
+    radius = t * r
+    total = 0.0
+    for p, q in tree.segments():
+        v = q - p
+        a = float(v @ v)
+        if a == 0.0:
+            continue
+        w = p - x
+        b = 2.0 * float(w @ v)
+        disc = b * b - 4.0 * a * (float(w @ w) - radius * radius)
+        if disc <= 0.0:
+            continue
+        sq = np.sqrt(disc)
+        lo = max(0.0, (-b - sq) / (2 * a))
+        hi = min(1.0, (-b + sq) / (2 * a))
+        if hi > lo:
+            total += (hi - lo) * np.sqrt(a)
+    return float(total)
+
+
+def oracle_count_branching(tree, center, r, t, tol=DEFAULT_TOL):
+    degen = tol.eps_len * tree.scale()
+    positions, new_edges = _oracle_contract(tree.coords(), tree.topology.edges, degen)
+    degree = np.zeros(len(positions), dtype=int)
+    for u, v in new_edges:
+        degree[u] += 1
+        degree[v] += 1
+    inside = np.linalg.norm(positions - np.asarray(center, dtype=float), axis=1) < t * r
+    return int(((degree >= 3) & inside).sum())
+
+
+def _segment_tree(terminals, edges=((0, 1),), branches=None):
+    terms = np.asarray(terminals, dtype=float)
+    branch = np.empty((0, terms.shape[1])) if branches is None else np.asarray(branches, dtype=float)
+    topo = Topology(len(terms), len(branch), tuple(edges))
+    coords = np.vstack([terms, branch])
+    length = sum(float(np.linalg.norm(coords[u] - coords[v])) for u, v in edges)
+    return EmbeddedTree(topo, terms, branch, length, True)
+
+
+ORACLE_FIXTURES = {
+    "six_crossing": six_crossing_tree(),
+    "tangent": _segment_tree([(-3.0, 1.0), (3.0, 1.0)]),
+    "near_miss": _segment_tree([(-3.0, 1.0 + 1e-12), (3.0, 1.0 + 1e-12)]),
+    "grazing_chord": _segment_tree([(-3.0, 1.0 - 1e-14), (3.0, 1.0 - 1e-14)]),
+    "endpoint_on_sphere": _segment_tree([(1.0, 0.0), (3.0, 0.0)]),
+    "shared_branch_point": _segment_tree(
+        [(2.0, 0.0), (-2.0, 1.5), (-2.0, -1.5)], ((0, 3), (1, 3), (2, 3)), [(1.0, 0.0)]
+    ),
+    "point_segment": _segment_tree([(0.5, 0.0), (0.5, 0.0)]),
+    "collapsed_duplicate": _segment_tree(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.5)], ((0, 1), (1, 2), (0, 3))
+    ),
+}
+
+
+def _heuristic_trees():
+    rng = np.random.default_rng(77)
+    return {
+        "uniform2d": heuristic_steiner(rng.random((300, 2))),
+        "uniform3d": heuristic_steiner(rng.random((200, 3))),
+        "hex": heuristic_steiner(hex_lattice_instance(250)),
+        "collapsed": relax_topology(rng.random((8, 3)), caterpillar_topology(8)),
+    }
+
+
+@pytest.fixture(scope="module")
+def heuristic_trees():
+    return _heuristic_trees()
+
+
+def _assert_ball_stats_match(tree, center, r, t):
+    got = count_crossings(tree, center, r, t)
+    count, degenerate, points = oracle_count_crossings(tree, center, r, t)
+    assert (got.count, got.degenerate) == (count, degenerate)
+    assert got.points.shape == points.shape
+    np.testing.assert_allclose(got.points, points, rtol=0.0, atol=1e-12 * max(r * t, 1.0))
+    ref = oracle_length_in_ball(tree, center, r, t)
+    assert length_in_ball(tree, center, r, t) == pytest.approx(ref, rel=1e-12, abs=1e-300)
+    assert count_branching_in_ball(tree, center, r, t) == oracle_count_branching(tree, center, r, t)
+
+
+def _assert_reports_match(got, ref):
+    assert got.length == pytest.approx(ref.length, rel=1e-12)
+    assert (got.is_tree, got.max_degree, got.angles_ok) == (ref.is_tree, ref.max_degree, ref.angles_ok)
+    assert (got.n_degenerate_edges, got.degenerate_edges) == (ref.n_degenerate_edges, ref.degenerate_edges)
+    if ref.min_angle is None:
+        assert got.min_angle is None
+    else:
+        assert got.min_angle == pytest.approx(ref.min_angle, abs=1e-12)
+
+
+class TestArrayKernelsMatchPerEdgeOracles:
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIXTURES))
+    def test_fixture_ball_stats(self, name):
+        tree = ORACLE_FIXTURES[name]
+        for t in (0.25, 0.5, 0.75, 1.0):
+            _assert_ball_stats_match(tree, (0.0, 0.0), 2.0, t)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FIXTURES))
+    def test_fixture_verify_tree(self, name):
+        tree = ORACLE_FIXTURES[name]
+        _assert_reports_match(verify_tree(tree), oracle_verify_tree(tree))
+
+    @pytest.mark.parametrize("name", ["uniform2d", "uniform3d", "hex", "collapsed"])
+    def test_heuristic_tree_ball_stats(self, heuristic_trees, name):
+        tree = heuristic_trees[name]
+        pts = tree.terminals
+        rng = np.random.default_rng(len(pts))
+        spacing = float(np.median(np.sort(np.linalg.norm(pts[:, None] - pts[None], axis=2), axis=1)[:, 1]))
+        for _ in range(4):
+            x = pts[rng.integers(len(pts))] + rng.uniform(-1.0, 1.0, pts.shape[1]) * spacing
+            r = float(np.linalg.norm(pts - x, axis=1).min())
+            for t in (0.25, 0.5, 0.75, 2.0, 6.0):
+                _assert_ball_stats_match(tree, x, r, t)
+
+    @pytest.mark.parametrize("name", ["uniform2d", "uniform3d", "hex", "collapsed"])
+    def test_heuristic_tree_verify(self, heuristic_trees, name):
+        tree = heuristic_trees[name]
+        _assert_reports_match(verify_tree(tree), oracle_verify_tree(tree))
+
+    def test_degenerate_contraction_matches(self):
+        tree = solve_exact([(0.0, 0.0), (1.0, 0.0), (0.5, 0.05)]).tree
+        _assert_reports_match(verify_tree(tree), oracle_verify_tree(tree))
+        _assert_ball_stats_match(tree, (0.5, 0.05), 0.5, 0.9)
