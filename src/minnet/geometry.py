@@ -102,61 +102,14 @@ def fermat_point(a, b, c, tol: ToleranceConfig = DEFAULT_TOL, max_iters: int = 2
 
     If one triangle angle is at least 2*pi/3 the minimizer is that vertex;
     otherwise it is the interior point seeing all three sides under 2*pi/3.
-    The interior case runs a Weiszfeld iteration with a guard that tests the
-    vertex optimality condition whenever an iterate approaches an input point.
+    Validates the three points and evaluates the closed form of
+    :func:`fermat_point_triples`; ``tol`` and ``max_iters`` are accepted for
+    compatibility and have no effect.
     """
-    pts = np.stack([as_point(a), as_point(b), as_point(c)])
-    if pts[0].shape != pts[1].shape or pts[1].shape != pts[2].shape:
+    pts = [as_point(p) for p in (a, b, c)]
+    if not pts[0].shape == pts[1].shape == pts[2].shape:
         raise GeometryError("fermat_point requires three points of equal dimension")
-
-    d01 = np.linalg.norm(pts[0] - pts[1])
-    d02 = np.linalg.norm(pts[0] - pts[2])
-    d12 = np.linalg.norm(pts[1] - pts[2])
-    scale = max(d01, d02, d12)
-    if scale == 0.0:
-        return pts[0].copy()
-    # Coincident pair: 2|x-p| + |x-q| is minimized at p.
-    if d01 <= 1e-14 * scale:
-        return pts[0].copy()
-    if d02 <= 1e-14 * scale:
-        return pts[0].copy()
-    if d12 <= 1e-14 * scale:
-        return pts[1].copy()
-
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        u = pts[i] - pts[k]
-        w = pts[j] - pts[k]
-        cos_k = float(u @ w) / (np.linalg.norm(u) * np.linalg.norm(w))
-        if cos_k <= _COS_120:
-            return pts[k].copy()
-
-    x = pts.mean(axis=0)
-    guard = 1e-9 * scale
-    stop = 1e-14 * scale
-    for _ in range(max_iters):
-        diff = pts - x
-        dist = np.linalg.norm(diff, axis=1)
-        near = int(np.argmin(dist))
-        if dist[near] < guard:
-            # Vertex optimality: the pull of the two other points must exceed
-            # unit strength for the iteration to escape the vertex.
-            others = [i for i in range(3) if i != near]
-            resultant = sum(
-                (pts[i] - pts[near]) / np.linalg.norm(pts[i] - pts[near]) for i in others
-            )
-            r_norm = float(np.linalg.norm(resultant))
-            if r_norm <= 1.0:
-                return pts[near].copy()
-            x = pts[near] + (2.0 * guard / r_norm) * resultant
-            continue
-        w = 1.0 / dist
-        x_new = (w @ pts) / w.sum()
-        step = float(np.linalg.norm(x_new - x))
-        x = x_new
-        if step < stop:
-            break
-    return x
+    return fermat_point_triples(np.stack(pts)[None])[0]
 
 
 def fermat_point_triples(triples: np.ndarray) -> np.ndarray:

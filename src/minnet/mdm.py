@@ -4,10 +4,11 @@ a given compact set M.
 Three solver flavors live here.  ``horseshoe_circle``/``horseshoe_stadium``
 build the one-parameter parallel-curve-with-gap family analytically and
 minimize over the gap.  ``solve_mdm_finite`` handles finite M exactly in
-spirit: it relaxes every full topology with terminal attachment points
-sliding on the spheres around the given points.  ``solve_mdm_numeric`` is a
-penalty method over a sampled M with topology surgery between epochs; it is
-the hammer for sets with no usable structure.
+spirit: it relaxes every full topology with the Steiner solver's sweep
+driver (``steiner._gs_sweeps``), its leaves free in the balls around the
+given points and its branch nodes at exact Fermat points.
+``solve_mdm_numeric`` is a penalty method over a sampled M with topology
+surgery between epochs; it is the hammer for sets with no usable structure.
 
 Distances from M to a candidate network are always exact point-to-segment
 computations; arcs become polylines only at output time, with chord error
@@ -248,18 +249,6 @@ def _stadium_boundary(R: float, L: float, density: int) -> np.ndarray:
     return out
 
 
-def _network_distances(net: MdmNetwork, samples: np.ndarray) -> np.ndarray:
-    """Min distance from each sample to the network (segments + vertices)."""
-    best = np.full(len(samples), np.inf)
-    a, b = net.segment_arrays()
-    if len(a):
-        best = point_segment_distances(samples, a, b).min(axis=1)
-    if len(net.vertices):
-        dv = np.linalg.norm(samples[:, None, :] - net.vertices[None, :, :], axis=2)
-        best = np.minimum(best, dv.min(axis=1))
-    return best
-
-
 def coverage_check(
     net: MdmNetwork, m_samples, r: float, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CoverageReport:
@@ -273,7 +262,7 @@ def coverage_check(
         raise MdmError(f"r must be positive, got {r}")
     if len(net.vertices) == 0:
         raise MdmError("coverage_check needs a nonempty network")
-    d = _network_distances(net, samples)
+    d = _closest_on_network(net, samples)[0]
     worst = int(np.argmax(d))
     defect = float(d[worst] - r)
     scale = max(instance_scale(samples) if len(samples) > 1 else 0.0, r)
@@ -698,26 +687,19 @@ def _merge_terminals(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
     return np.array(centers), np.array(radii)
 
 
-def _project_attachments(X, centers, radii, tnbr):
-    """Move each attachment to the nearest point of its ball to its neighbor."""
-    T = X.shape[0]
-    t_idx = np.arange(T)[:, None]
-    nbr = X[t_idx, tnbr]  # (T, k, d)
-    v = nbr - centers[None]
-    dist = np.linalg.norm(v, axis=2)
-    safe = np.where(dist == 0.0, 1.0, dist)
-    reach = np.minimum(dist, radii[None]) / safe
-    X[:, : len(centers)] = centers[None] + reach[:, :, None] * v
-
-
 def solve_mdm_finite(
     points, r: float, tol: ToleranceConfig = DEFAULT_TOL
 ) -> MdmNetwork:
     """Shortest network touching the r-ball of every given point.
 
     Enumerates full topologies over the effective terminals (ball clusters
-    with a common point collapse to one fat terminal) and relaxes each with
-    alternating sphere projections and exact Fermat updates.
+    with a common point collapse to one fat terminal) and relaxes them as
+    one batch with :func:`steiner._gs_sweeps`, whose leaves move to the
+    nearest point of their ball and whose branch nodes move to exact Fermat
+    points.  A topology leaves the batch once a sweep moves none of its
+    nodes by more than 1e-12 of the scale, or after 3000 sweeps; nothing
+    certifies the winner yet.  ``tol`` is accepted for a uniform solver
+    signature and has no effect.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -756,16 +738,8 @@ def solve_mdm_finite(
     X[:, k:] = _harmonic_init(X[0, :k], nb)
 
     move_target = max(1e-12 * scale, 1e-300)
-    prev = _total_lengths(X, edg)
-    for _ in range(3000):
-        _project_attachments(X, centers, radii, tnbr)
-        _gs_sweeps(X, nb, k, move_target, 1)
-        cur = _total_lengths(X, edg)
-        if np.all(prev - cur <= tol.eps_len * np.maximum(cur, scale) * 1e-3):
-            prev = cur
-            break
-        prev = cur
-    best = int(np.argmin(prev))
+    _gs_sweeps(X, nb, k, move_target, 3000, balls=(centers, radii, tnbr))
+    best = int(np.argmin(_total_lengths(X, edg)))
     return MdmNetwork(X[best].copy(), [tuple(e) for e in edg[best]])
 
 

@@ -34,6 +34,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from .geometry import (
     DEFAULT_TOL,
@@ -77,8 +78,7 @@ def instance_scale(points: np.ndarray) -> float:
     """
     pts = np.asarray(points, dtype=float)
     if len(pts) <= 512:
-        diff = pts[:, None, :] - pts[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
+        return float(pdist(pts).max(initial=0.0))
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
@@ -232,28 +232,42 @@ def _gs_sweeps(
     edg: np.ndarray | None = None,
     trace: list | None = None,
     certify: tuple[np.ndarray, float, float] | None = None,
-    rows: np.ndarray | None = None,
+    balls: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> int:
     """In-place Gauss-Seidel Fermat sweeps over a shrinking batch; returns sweeps run.
 
-    A topology leaves the batch after its first sweep that moves no branch
-    node by more than ``move_target``, so its embedding does not depend on
-    how slowly the others settle.  Given ``certify = (pruned, degen,
-    eps_tie)`` and ``edg``, every 10 sweeps a still-moving topology also
-    leaves, with ``pruned`` set, once its certified lower bound exceeds the
-    incumbent (the shortest embedding seen in the batch) by ``eps_tie``.
-    ``rows`` restricts the sweeps to those topologies.
+    A topology leaves the batch after its first sweep that moves no node by
+    more than ``move_target``, so its embedding does not depend on how
+    slowly the others settle.  Given ``certify = (pruned, degen, eps_tie)``
+    and ``edg``, every 10 sweeps a still-moving topology also leaves, with
+    ``pruned`` set, once its certified lower bound exceeds the incumbent
+    (the shortest embedding seen in the batch) by ``eps_tie``.
+
+    Given ``balls = (centers, radii, leaf_nbr)``, the first n nodes are not
+    fixed terminals but leaves free in the balls B(centers[i], radii[i]):
+    each sweep starts by moving every leaf to the point of its ball nearest
+    its one neighbour ``leaf_nbr[t, i]``, the exact block minimizer for a
+    leaf, and those moves count toward retirement like the others.
     """
     T, s, _ = nb.shape
-    act = np.arange(T) if rows is None else np.asarray(rows)
-    Xa, nba = (X, nb) if rows is None else (X[act], nb[act])
+    act = np.arange(T)
+    Xa, nba = X, nb
     if certify is not None:
         pruned, degen, eps_tie = certify
         best = _total_lengths(X, edg)
+    if balls is not None:
+        centers, radii, leaf_nbr = balls
     sweeps = 0
     while sweeps < max_sweeps and len(act):
         t_idx = np.arange(len(act))[:, None]
         move = np.zeros(len(act))
+        if balls is not None:
+            v = Xa[t_idx, leaf_nbr[act]] - centers
+            dist = np.linalg.norm(v, axis=2)
+            reach = np.minimum(dist, radii) / np.where(dist == 0.0, 1.0, dist)
+            new = centers + reach[..., None] * v
+            move = np.linalg.norm(new - Xa[:, :n], axis=2).max(axis=1)
+            Xa[:, :n] = new
         for i in range(s):
             triples = Xa[t_idx, nba[:, i, :]]
             new = fermat_point_triples(triples)

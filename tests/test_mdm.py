@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from minnet.geometry import DEFAULT_TOL
 from minnet.mdm import (
@@ -23,7 +24,7 @@ from minnet.mdm import (
     verify_mdm,
 )
 from minnet.ratio import mst
-from minnet.steiner import solve_exact
+from minnet.steiner import instance_scale, solve_exact
 
 TOL = DEFAULT_TOL
 
@@ -188,6 +189,30 @@ class TestSolveMdmFinite:
         net = solve_mdm_finite(pts, 0.2, TOL)
         rep = coverage_check(net, pts, 0.2, TOL)
         assert rep.covered
+
+    def test_winner_meets_first_order_conditions(self):
+        # Separated points keep one ball per point.  Each leaf is the point
+        # of its ball nearest its neighbour; each branch node with three
+        # non-degenerate edges sees unit vectors that cancel.
+        pts = np.random.default_rng(4).uniform(0.0, 4.0, size=(5, 2))
+        r = 0.3 * float(pdist(pts).min()) / 2.0
+        net = solve_mdm_finite(pts, r, TOL)
+        scale = max(instance_scale(pts), 2.0 * r)
+        edges = np.array(net.edges)
+        for i, c in enumerate(pts):
+            (u, v), = edges[(edges == i).any(axis=1)]
+            w = net.vertices[u + v - i] - c
+            nearest = c + min(1.0, r / np.linalg.norm(w)) * w
+            assert np.linalg.norm(net.vertices[i] - nearest) <= TOL.eps_len * scale
+        checked = 0
+        for j in range(len(pts), len(net.vertices)):
+            ends = edges[(edges == j).any(axis=1)]
+            vec = net.vertices[ends.sum(axis=1) - j] - net.vertices[j]
+            lens = np.linalg.norm(vec, axis=1)
+            if len(vec) == 3 and (lens > TOL.eps_len * scale).all():
+                assert np.linalg.norm((vec / lens[:, None]).sum(axis=0)) <= 10.0 * TOL.eps_len
+                checked += 1
+        assert checked >= 1
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))

@@ -372,16 +372,48 @@ class TestLowerBound:
 
     def test_sweeps_do_not_depend_on_batch(self):
         # A topology leaves the batch when it settles, so its embedding is the
-        # one it gets when swept alone, bit for bit.
+        # one it gets when swept alone, bit for bit.  With a radius, the
+        # leaves are free in balls around the points, as in solve_mdm_finite.
         pts = np.random.default_rng(8).uniform(0.0, 1.0, (5, 2))
         target = 1e-12 * instance_scale(pts)
         topologies = enumerate_full_topologies(5)
-        together, nb, _ = _embeddings_after(pts, topologies, 0)
-        _gs_sweeps(together, nb, 5, target, 3000)
-        for t in range(len(topologies)):
-            alone, nb1, _ = _embeddings_after(pts, topologies[t : t + 1], 0)
-            _gs_sweeps(alone, nb1, 5, target, 3000)
-            assert np.array_equal(alone[0], together[t])
+
+        def swept(topos, radius):
+            X, nb, _ = _embeddings_after(pts, topos, 0)
+            balls = None
+            if radius is not None:
+                leaf_nbr = np.array([[topo.neighbors(i)[0] for i in range(5)] for topo in topos])
+                balls = (pts, np.full(5, radius), leaf_nbr)
+            _gs_sweeps(X, nb, 5, target, 3000, balls=balls)
+            return X
+
+        for radius in (None, 0.05):
+            together = swept(topologies, radius)
+            for t in range(len(topologies)):
+                assert np.array_equal(swept(topologies[t : t + 1], radius)[0], together[t])
+
+
+def _dense_scale_oracle(pts: np.ndarray) -> float:
+    """The n x n x d pairwise formula that instance_scale used for small sets."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+
+class TestInstanceScale:
+    def test_matches_dense_formula_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 80)), int(rng.integers(2, 5))
+            pts = rng.uniform(-10.0, 10.0, (n, d))
+            if rng.random() < 0.3:
+                pts = np.round(pts, int(rng.integers(0, 3)))
+            if rng.random() < 0.3:
+                pts[rng.integers(0, n, n // 2)] = pts[0]  # duplicates
+            assert instance_scale(pts) == _dense_scale_oracle(pts)
+
+    def test_large_sets_use_the_bounding_box(self):
+        pts = np.random.default_rng(42).uniform(0.0, 1.0, (513, 3))
+        assert instance_scale(pts) == float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
 class TestSolveAccounting:
