@@ -44,6 +44,7 @@ from .io import (
     serialize_result,
 )
 from .mdm import (
+    GAP_EVALUATIONS,
     MdmError,
     MdmNetwork,
     NumericConfig,
@@ -327,12 +328,16 @@ def _cmd_mdm_horseshoe(args) -> int:
     net, _ = horseshoe_stadium(R, r, L, tol) if L > 0 else horseshoe_circle(R, r, tol)
     solver = {
         "name": "horseshoe",
-        "converged": True,
-        "iterations": 0,
+        "iterations": GAP_EVALUATIONS,
         "wall_time_s": time.perf_counter() - t0,
         "tolerances": _tol_dict(tol),
     }
-    _emit_result(args, _mdm_result(inst, net, tol, solver))
+    result = _mdm_result(inst, net, tol, solver)
+    # The gap search always stops; what holds is the report's coverage.
+    result.solver["converged"] = result.report["covered"]
+    _emit_result(args, result)
+    if not result.report["covered"]:
+        raise _Unconverged("coverage defect above tolerance; partial result written")
     return EXIT_OK
 
 

@@ -218,27 +218,30 @@ def dist_point_to_segment(p, s0, s1) -> float:
 
 
 def _closest_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clipped segment parameters (S, E) and closest points (S, E, d).
+    """Clipped segment parameters (...) and closest points (..., d).
 
-    The closest point of ``pts[s]`` on segment ``[a[e], b[e]]`` is
-    ``a[e] + t[s, e] * (b[e] - a[e])``; a zero-length segment gets t = 0.
+    ``pts``, ``a`` and ``b`` broadcast against each other over their leading
+    axes: ``pts[:, None]`` against ``a[None]`` gives the dense (S, E) table,
+    equal-length gathered rows give one pair per row, and each pair rounds
+    the same either way.  The closest point of ``pts`` on segment ``[a, b]``
+    is ``a + t * (b - a)``; a zero-length segment gets t = 0.
     """
-    v = b - a  # (E, d)
-    den = np.einsum("ed,ed->e", v, v)  # (E,)
+    v = b - a
+    den = np.einsum("...d,...d->...", v, v)
     safe = np.where(den == 0.0, 1.0, den)
-    diff = pts[:, None, :] - a[None, :, :]  # (S, E, d)
-    t = np.einsum("sed,ed->se", diff, v) / safe[None, :]
-    t = np.clip(np.where(den[None, :] == 0.0, 0.0, t), 0.0, 1.0)
-    return t, a[None, :, :] + t[:, :, None] * v[None, :, :]
+    t = np.einsum("...d,...d->...", pts - a, v) / safe
+    t = np.clip(np.where(den == 0.0, 0.0, t), 0.0, 1.0)
+    return t, a + t[..., None] * v
 
 
 def point_segment_distances(points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray) -> np.ndarray:
     """Distance matrix between ``points`` (S, d) and segments (E, d)/(E, d).
 
-    Returns shape (S, E).  The workhorse behind coverage checks, where a dense
-    sample of a compact set is tested against every edge of a network.
+    Returns shape (S, E), every point against every segment.  Callers that
+    only need each point's nearest segment on a large network use
+    ``mdm._closest_on_network``, which prunes the pairs first.
     """
-    pts = np.asarray(points, dtype=float)
-    a = np.asarray(seg_a, dtype=float)
-    _, closest = _closest_points(pts, a, np.asarray(seg_b, dtype=float))
-    return np.linalg.norm(pts[:, None, :] - closest, axis=2)
+    pts = np.asarray(points, dtype=float)[:, None, :]
+    a = np.asarray(seg_a, dtype=float)[None]
+    _, closest = _closest_points(pts, a, np.asarray(seg_b, dtype=float)[None])
+    return np.linalg.norm(pts - closest, axis=2)

@@ -23,9 +23,11 @@ from itertools import combinations
 from math import ceil
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .geometry import (
     DEFAULT_TOL,
+    GeometryError,
     ToleranceConfig,
     _closest_points,
     angle_at,
@@ -37,6 +39,7 @@ from .steiner import (
     _gs_sweeps,
     _harmonic_init,
     _labels,
+    _norm,
     _tables,
     _total_lengths,
     instance_scale,
@@ -56,6 +59,7 @@ __all__ = [
     "coverage_check",
     "horseshoe_circle",
     "horseshoe_stadium",
+    "GAP_EVALUATIONS",
     "stadium_competitor",
     "solve_mdm_finite",
     "solve_mdm_numeric",
@@ -68,6 +72,13 @@ __all__ = [
 # radius * step^2 / 8 ~ 8e-8 * radius, comfortably below coverage tolerances,
 # and the relative length deficit step^2/24 is ~3e-8.
 _ARC_STEP = 8e-4
+
+# The horseshoe gap search: a coarse grid, then golden-section steps.  It
+# evaluates GAP_EVALUATIONS widths: the grid, two starting golden points,
+# one per step and the final pick.
+_GAP_GRID = 33
+_GOLDEN_STEPS = 70
+GAP_EVALUATIONS = _GAP_GRID + 2 + _GOLDEN_STEPS + 1
 
 # Half-width of the energetic detection band as a fraction of r; |xy| = r is
 # measure-zero so a band is required numerically.
@@ -147,16 +158,15 @@ class MdmNetwork:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.edges = [(int(u), int(v)) for u, v in self.edges]
-        for u, v in self.edges:
-            if not (0 <= u < len(self.vertices) and 0 <= v < len(self.vertices)):
-                raise MdmError(f"edge ({u}, {v}) out of range for {len(self.vertices)} vertices")
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        bad = np.flatnonzero(((e < 0) | (e >= len(self.vertices))).any(axis=1))
+        if bad.size:
+            u, v = self.edges[bad[0]]
+            raise MdmError(f"edge ({u}, {v}) out of range for {len(self.vertices)} vertices")
         if self.length is None:
-            self.length = float(
-                sum(
-                    np.linalg.norm(self.vertices[u] - self.vertices[v])
-                    for u, v in self.edges
-                )
-            )
+            # A running total in edge order, rounded as a Python sum would.
+            lens = _norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]]) if len(e) else [0.0]
+            self.length = float(np.cumsum(lens)[-1])
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if not self.edges:
@@ -227,26 +237,26 @@ def _stadium_boundary(R: float, L: float, density: int) -> np.ndarray:
     """Walk the stadium boundary CCW starting at (L/2 + R, 0)."""
     P = 2.0 * np.pi * R + 2.0 * L
     s = P * np.arange(density) / density
-    out = np.empty((density, 2))
     b1 = np.pi * R / 2.0          # end of right cap, upper quarter
     b2 = b1 + L                   # end of top side
     b3 = b2 + np.pi * R           # end of left cap
     b4 = b3 + L                   # end of bottom side
-    for i, si in enumerate(s):
-        if si < b1:
-            th = si / R
-            out[i] = (L / 2.0 + R * np.cos(th), R * np.sin(th))
-        elif si < b2:
-            out[i] = (L / 2.0 - (si - b1), R)
-        elif si < b3:
-            th = np.pi / 2.0 + (si - b2) / R
-            out[i] = (-L / 2.0 + R * np.cos(th), R * np.sin(th))
-        elif si < b4:
-            out[i] = (-L / 2.0 + (si - b3), -R)
-        else:
-            th = 3.0 * np.pi / 2.0 + (si - b4) / R
-            out[i] = (L / 2.0 + R * np.cos(th), R * np.sin(th))
-    return out
+    # piece: 0 right cap (upper), 1 top side, 2 left cap, 3 bottom side,
+    # 4 right cap (lower).
+    piece = np.searchsorted([b1, b2, b3, b4], s, side="right")
+    th = np.select(
+        [piece == 0, piece == 2],
+        [s / R, np.pi / 2.0 + (s - b2) / R],
+        3.0 * np.pi / 2.0 + (s - b4) / R,
+    )
+    cx = np.where(piece == 2, -L / 2.0, L / 2.0)
+    x = np.select(
+        [piece == 1, piece == 3],
+        [L / 2.0 - (s - b1), -L / 2.0 + (s - b3)],
+        cx + R * np.cos(th),
+    )
+    y = np.select([piece == 1, piece == 3], [np.full(density, R), np.full(density, -R)], R * np.sin(th))
+    return np.stack([x, y], axis=1)
 
 
 def coverage_check(
@@ -275,29 +285,6 @@ def coverage_check(
 
 # ---------------------------------------------------------------------------
 # Horseshoes: parallel curve with a coverage-closing gap
-
-
-def _dist_to_arcs(pts: np.ndarray, arcs) -> np.ndarray:
-    best = np.full(len(pts), np.inf)
-    for c, rho, a0, a1 in arcs:
-        v = pts - c
-        rad = np.linalg.norm(v, axis=1)
-        ang = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2.0 * np.pi)
-        inside = (ang >= a0) & (ang <= a1)
-        d = np.where(inside, np.abs(rad - rho), np.inf)
-        for a in (a0, a1):
-            e = c + rho * np.array([np.cos(a), np.sin(a)])
-            d = np.minimum(d, np.linalg.norm(pts - e, axis=1))
-        best = np.minimum(best, d)
-    return best
-
-
-def _dist_to_segs(pts: np.ndarray, segs) -> np.ndarray:
-    if not segs:
-        return np.full(len(pts), np.inf)
-    a = np.asarray([s[0] for s in segs])
-    b = np.asarray([s[1] for s in segs])
-    return point_segment_distances(pts, a, b).min(axis=1)
 
 
 def _gapped_parallel(rho: float, L: float, w: float):
@@ -345,34 +332,34 @@ def _mirror(p: np.ndarray) -> np.ndarray:
     return np.array([p[0], -p[1]])
 
 
-def _min_tangent_length(samples, arcs, segs, A, d, r, hi_cap) -> float | None:
-    """Smallest tangent-segment length whose r-balls close the gap; None if
-    even hi_cap fails."""
+def _tangent_length(R: float, r: float, L: float, w: float) -> float | None:
+    """Shortest tangent segments that close a gap of half-width w; None if
+    no length does.
 
-    def covered(ell: float) -> bool:
-        extra = []
-        if ell > 0.0:
-            extra = [(A, A + ell * d), (_mirror(A), _mirror(A + ell * d))]
-        dist = np.minimum(_dist_to_arcs(samples, arcs), _dist_to_segs(samples, segs + extra))
-        # Relative slack: samples on the covered stretch sit at distance
-        # exactly r, so a bare <= r flips on 1-ulp noise.
-        return bool(dist.max() <= r * (1.0 + 1e-9))
-
-    if covered(0.0):
-        return 0.0
-    hi = r
-    while not covered(hi):
-        hi *= 2.0
-        if hi > hi_cap:
-            return None
-    lo = 0.0
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if covered(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    The gapped parallel curve at distance rho = R - r leaves one boundary
+    interval uncovered, symmetric about the apex (L/2 + R, 0).  The tangent
+    from the upper gap endpoint A along d reaches a point P once its length
+    is at least f(P) = t_P - sqrt(reach^2 - h_P^2), where t_P = (P - A).d
+    and h_P is the signed offset of P from the tangent line; no length
+    reaches P when |h_P| > reach.  For P on the cap at angle u past A,
+    seen from the cap centre, f = R sin u - sqrt(reach^2 - (R cos u - rho)^2)
+    and df/du > 0 exactly when (R - reach) cos u < rho, which holds for
+    every u because reach > r.  So the bound grows away from A, the lower
+    tangent mirrors it, and the apex (u = w / rho) needs the most.  Once the
+    gap has eaten the whole stadium cap (w > pi rho / 2) the tangent runs
+    along the top side and the bound grows by the extra half-width.  The
+    reach keeps the relative slack of 1e-9 that boundary points on the
+    covered stretch need.
+    """
+    rho = R - r
+    reach = r * (1.0 + 1e-9)
+    cap = np.pi * rho / 2.0 if L > 0.0 else np.inf
+    u = min(w, cap) / rho
+    h = R * np.cos(u) - rho
+    if h < -reach:
+        return None
+    ell = max(w - cap, 0.0) + R * np.sin(u) - np.sqrt(reach * reach - h * h)
+    return max(float(ell), 0.0)
 
 
 def _arc_points(c, rho, a0, a1) -> np.ndarray:
@@ -382,16 +369,28 @@ def _arc_points(c, rho, a0, a1) -> np.ndarray:
 
 
 def _chain_network(runs: list[np.ndarray]) -> MdmNetwork:
-    """Concatenate point runs into one open polyline, merging shared joints."""
-    pts: list[np.ndarray] = []
-    for run in runs:
-        for p in np.atleast_2d(run):
-            if pts and np.linalg.norm(p - pts[-1]) <= 1e-12 * (1.0 + np.linalg.norm(p)):
-                continue
-            pts.append(np.asarray(p, dtype=float))
-    vertices = np.array(pts)
-    edges = [(i, i + 1) for i in range(len(pts) - 1)]
-    return MdmNetwork(vertices, edges)
+    """Concatenate point runs into one open polyline, merging shared joints.
+
+    A point merges into the last kept point when it lies within 1e-12 of it
+    (relative).  Compared with its predecessor, that is decided array-wide
+    wherever the predecessor was kept; only points right after a merged one
+    are decided again, in order.
+    """
+    P = np.concatenate([np.atleast_2d(run) for run in runs]).astype(float)
+    tol = 1e-12 * (1.0 + _norm(P))
+    keep = np.ones(len(P), dtype=bool)
+    keep[1:] = _norm(P[1:] - P[:-1]) > tol[1:]
+    i = 1
+    while True:
+        merged = np.flatnonzero(~keep[i - 1 : -1])
+        if not merged.size:
+            break
+        i += int(merged[0])
+        last = int(np.flatnonzero(keep[:i])[-1])
+        keep[i] = _norm(P[i] - P[last]) > tol[i]
+        i += 1
+    vertices = P[keep]
+    return MdmNetwork(vertices, [(i, i + 1) for i in range(len(vertices) - 1)])
 
 
 def _emit_horseshoe(rho: float, L: float, w: float, ell: float) -> MdmNetwork:
@@ -422,25 +421,17 @@ def _horseshoe_family(
     if r <= 0 or R <= r:
         raise MdmError(f"horseshoe needs R > r > 0, got R={R}, r={r}")
     rho = R - r
-    desc = (
-        CompactSetDescriptor.circle(R)
-        if L == 0.0
-        else CompactSetDescriptor.stadium(R, L)
-    )
-    samples = sample_compact(desc, int(ceil(40.0 * desc.diameter() / r)))
     perimeter = 2.0 * np.pi * rho + 2.0 * L
     w_max = np.pi * rho if L == 0.0 else np.pi * rho / 2.0 + L
-    hi_cap = 64.0 * (R + L + r)
 
     def total(w: float) -> tuple[float, float]:
-        arcs, segs, A, d = _gapped_parallel(rho, L, w)
-        ell = _min_tangent_length(samples, arcs, segs, A, d, r, hi_cap)
+        ell = _tangent_length(R, r, L, w)
         if ell is None:
             return np.inf, np.nan
         return perimeter - 2.0 * w + 2.0 * ell, ell
 
     # Coarse grid guards against flat/infeasible tails, golden refines.
-    grid = np.linspace(0.0, w_max, 33)
+    grid = np.linspace(0.0, w_max, _GAP_GRID)
     vals = [total(w)[0] for w in grid]
     k = int(np.argmin(vals))
     lo = grid[max(0, k - 1)]
@@ -449,7 +440,7 @@ def _horseshoe_family(
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
     f1, f2 = total(x1)[0], total(x2)[0]
-    for _ in range(70):
+    for _ in range(_GOLDEN_STEPS):
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
@@ -787,7 +778,7 @@ def _penalty_gradient(V, E, samples, r, mu):
     u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
     np.add.at(g, e0, u)
     np.add.at(g, e1, -u)
-    t, closest = _closest_points(samples, a, b)
+    t, closest = _closest_points(samples[:, None], a[None], b[None])
     dvec = samples[:, None, :] - closest
     dist = np.linalg.norm(dvec, axis=2)
     j = np.argmin(dist, axis=1)
@@ -951,25 +942,89 @@ def solve_mdm_numeric(
 
 
 def _closest_on_network(net: MdmNetwork, samples: np.ndarray):
-    """Distances and closest network points for each sample."""
-    S = len(samples)
+    """Distances and closest network points for each sample.
+
+    Equal, bit for bit, to the dense search over every (sample, edge) pair
+    that keeps the first minimal edge and then takes the nearest vertex where
+    it is strictly closer.  Candidates per sample are the long edges (longer
+    than four median edges, at most the 32 longest) and every other edge
+    incident to one of its K nearest vertices.  Certificate: a segment whose
+    endpoints both lie at least D from y lies at least sqrt(D^2 - l^2/4)
+    from y, for l its length.  So with d_K the distance to the K-th nearest
+    vertex and l_max the longest short edge, no edge or vertex left out can
+    come within sqrt(d_K^2 - l_max^2/4) of y; a sample whose best candidate
+    is below that bound (less a rounding margin) has its answer.  K starts
+    at 8; the rest are searched again with 4K neighbours, and at K = vertex
+    count every edge is a candidate.
+    """
+    samples = np.asarray(samples, dtype=float)
+    V = net.vertices
+    S, n = len(samples), len(V)
     best_d = np.full(S, np.inf)
-    best_p = np.zeros((S, net.vertices.shape[1]))
-    a, b = net.segment_arrays()
-    if len(a):
-        _, closest = _closest_points(samples, a, b)
-        dist = np.linalg.norm(samples[:, None, :] - closest, axis=2)
-        j = dist.argmin(axis=1)
-        rows = np.arange(S)
-        best_d = dist[rows, j]
-        best_p = closest[rows, j]
-    if len(net.vertices):
-        dv = np.linalg.norm(samples[:, None, :] - net.vertices[None], axis=2)
+    best_p = np.zeros((S, V.shape[1]))
+    if S == 0 or n == 0:
+        return best_d, best_p
+    ends = np.asarray(net.edges, dtype=np.int64).reshape(-1, 2)
+    a, b = V[ends[:, 0]], V[ends[:, 1]]
+    lens = np.linalg.norm(b - a, axis=1)
+    cut = 4.0 * float(np.median(lens)) if len(lens) else 0.0
+    if len(lens) > 32:
+        cut = max(cut, float(np.sort(lens)[-33]))
+    long_ids = np.flatnonzero(lens > cut)
+    short = np.flatnonzero(lens <= cut)
+    half = 0.5 * float(lens[short].max(initial=0.0))
+    # Incident short edges of each vertex, CSR by vertex.
+    inc_v = ends[short].ravel()
+    order = np.argsort(inc_v, kind="stable")
+    inc_e = np.repeat(short, 2)[order]
+    inc_ptr = np.searchsorted(inc_v[order], np.arange(n + 1))
+    deg = np.diff(inc_ptr)
+    margin = 1e-12 * (np.abs(V).max() + np.abs(samples).max())
+    tree = cKDTree(V)
+    todo = np.arange(S)
+    k = 8
+    while todo.size:
+        kk = min(k, n)
+        ys = samples[todo]
+        dk, nn = tree.query(ys, k=kk)
+        dk, nn = dk.reshape(len(todo), kk), nn.reshape(len(todo), kk)
+        # Candidate (sample, edge) pairs: incident short edges, then long ones.
+        cnt = deg[nn].ravel()
+        rows = np.repeat(np.repeat(np.arange(len(todo)), kk), cnt)
+        first = np.repeat(inc_ptr[nn].ravel() - np.cumsum(cnt) + cnt, cnt)
+        cols = inc_e[first + np.arange(len(rows))]
+        rows = np.concatenate([rows, np.repeat(np.arange(len(todo)), len(long_ids))])
+        cols = np.concatenate([cols, np.tile(long_ids, len(todo))])
+        d_e = np.full(len(todo), np.inf)
+        p_e = np.zeros_like(ys)
+        if rows.size:
+            # Rows grouped, edges ascending within a row.
+            order = np.argsort(rows * len(lens) + cols)
+            rows, cols = rows[order], cols[order]
+            y = ys[rows]
+            _, cp = _closest_points(y, a[cols], b[cols])
+            dist = np.linalg.norm(y - cp, axis=1)
+            # The first minimal edge of each row.
+            start = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+            count = np.diff(np.r_[start, len(rows)])
+            pick = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, start), count))
+            pick = pick[np.r_[True, rows[pick][1:] != rows[pick][:-1]]]
+            d_e[rows[pick]] = dist[pick]
+            p_e[rows[pick]] = cp[pick]
+        # Nearest of the K vertices, the lowest index among exact ties.
+        nn = np.sort(nn, axis=1)
+        dv = np.linalg.norm(ys[:, None, :] - V[nn], axis=2)
         jv = dv.argmin(axis=1)
-        dvm = dv[np.arange(S), jv]
-        mask = dvm < best_d
-        best_d[mask] = dvm[mask]
-        best_p[mask] = net.vertices[jv[mask]]
+        dvm = dv[np.arange(len(todo)), jv]
+        closer = dvm < d_e
+        d_e[closer] = dvm[closer]
+        p_e[closer] = V[nn[closer, jv[closer]]]
+        bound = np.sqrt(np.maximum(dk[:, -1] ** 2 - half * half, 0.0)) - margin
+        done = d_e <= (np.inf if kk == n else bound)
+        best_d[todo[done]] = d_e[done]
+        best_p[todo[done]] = p_e[done]
+        todo = todo[~done]
+        k = 4 * kk
     return best_d, best_p
 
 
@@ -993,13 +1048,21 @@ def energetic_points(
     hi = r + tol.coverage_eps * scale
     keep = (d >= lo) & (d <= hi)
     dedupe = tol.eps_len * max(instance_scale(net.vertices) if len(net.vertices) > 1 else 0.0, r)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in np.flatnonzero(keep):
-        x = p[i]
-        if any(np.linalg.norm(x - q) <= dedupe for q, _ in out):
-            continue
-        out.append((x.copy(), samples[i].copy()))
-    return EnergeticSet(points=out)
+    idx = np.flatnonzero(keep)
+    X = p[idx]
+    kept = np.ones(len(idx), dtype=bool)
+    # Greedy in sample order: a point goes when an earlier kept one lies
+    # within the dedupe radius.  Only points with an earlier neighbour need
+    # the sequential pass.
+    i, j = cKDTree(X).query_pairs(dedupe * (1.0 + 1e-9), output_type="ndarray").T
+    near = _norm(X[j] - X[i]) <= dedupe
+    i, j = i[near], j[near]
+    order = np.lexsort((i, j))
+    i, j = i[order], j[order]
+    starts = np.flatnonzero(np.r_[True, j[1:] != j[:-1]]) if len(j) else j
+    for later, earlier in zip(j[starts], np.split(i, starts[1:])):
+        kept[later] = not kept[earlier].any()
+    return EnergeticSet(points=[(X[m].copy(), samples[idx[m]].copy()) for m in np.flatnonzero(kept)])
 
 
 def verify_mdm(
@@ -1015,39 +1078,48 @@ def verify_mdm(
     scale = max(instance_scale(V) if len(V) > 1 else 0.0, 1e-300)
     thresh = tol.eps_len * scale
 
-    edges = [(int(u), int(v)) for u, v in net.edges]
+    e = np.asarray(net.edges, dtype=np.int64).reshape(-1, 2)
     # A graph is a forest iff |E| = |V| - #components (parallel edges and
     # loops, zero-length ones included, count as cycles).
-    n_components = len(np.unique(_labels(len(V), edges)))
-    has_cycle = len(edges) > len(V) - n_components
-    short = [bool(np.linalg.norm(V[u] - V[v]) <= thresh) for u, v in edges]
-    rep = _labels(len(V), [e for e, z in zip(edges, short) if z])
-    quotient_edges = []
-    seen = set()
-    for (u, v), z in zip(edges, short):
-        uu, vv = int(rep[u]), int(rep[v])
-        key = (min(uu, vv), max(uu, vv))
-        if not z and key not in seen:
-            seen.add(key)
-            quotient_edges.append((uu, vv))
+    n_components = len(np.unique(_labels(len(V), e)))
+    has_cycle = len(e) > len(V) - n_components
+    short = _norm(V[e[:, 0]] - V[e[:, 1]]) <= thresh
+    rep = _labels(len(V), e[short])
+    # Each long edge between representatives, the first of parallel copies.
+    q = rep[e[~short]]
+    first = np.unique(np.sort(q, axis=1), axis=0, return_index=True)[1]
+    quotient_edges = q[np.sort(first)]
+    m = len(quotient_edges)
 
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for ei, (u, v) in enumerate(quotient_edges):
-        adj.setdefault(u, []).append((v, ei))
-        adj.setdefault(v, []).append((u, ei))
-
-    angles: list[tuple[int, float]] = []
-    straight = []  # pairs of quotient edges continuing one segment
-    for vtx, nbrs in adj.items():
-        if len(nbrs) < 2:
-            continue
-        pairs = [
-            angle_at(V[vtx], V[a], V[b])
-            for (a, _), (b, _) in combinations(nbrs, 2)
-        ]
-        angles.append((vtx, float(min(pairs))))
-        if len(nbrs) == 2 and pairs[0] >= np.pi - tol.eps_angle:
-            straight.append((nbrs[0][1], nbrs[1][1]))
+    # Incidences in insertion order (u then v of each edge); a stable sort
+    # groups them per vertex, and vertices keep their first appearance.
+    inc_v = quotient_edges.ravel()
+    order = np.argsort(inc_v, kind="stable")
+    nbr = quotient_edges[:, ::-1].ravel()[order]
+    eid = np.repeat(np.arange(m), 2)[order]
+    vtx, start, deg = np.unique(inc_v[order], return_index=True, return_counts=True)
+    branch = np.flatnonzero(deg >= 2)
+    branch = branch[np.argsort(order[start[branch]])]
+    triples = []  # (centre, ray end a, ray end b, group) per pair of rays
+    for k in np.unique(deg[branch]):
+        g = branch[deg[branch] == k]
+        ia, ib = np.triu_indices(k, 1)
+        slots = start[g][:, None]
+        triples.append([np.repeat(vtx[g], len(ia)), nbr[slots + ia].ravel(), nbr[slots + ib].ravel(), np.repeat(g, len(ia))])
+    vmin = np.full(len(vtx), np.inf)
+    if triples:
+        c, ea, eb, owner = (np.concatenate(col) for col in zip(*triples))
+        u, w = V[ea] - V[c], V[eb] - V[c]
+        nu, nw = _norm(u), _norm(w)
+        if np.any((nu == 0.0) | (nw == 0.0)):
+            raise GeometryError("degenerate ray: endpoints must differ from the vertex")
+        # Kahan's formula, rounded as angle_at rounds it.
+        x, y = u * nw[:, None], w * nu[:, None]
+        np.minimum.at(vmin, owner, 2.0 * np.arctan2(_norm(x - y), _norm(x + y)))
+    angles = [(int(vtx[g]), float(vmin[g])) for g in branch]
+    two = start[deg == 2]
+    flat = vmin[deg == 2] >= np.pi - tol.eps_angle
+    straight = np.column_stack([eid[two[flat]], eid[two[flat] + 1]])
     segment_count = len(np.unique(_labels(len(quotient_edges), straight)))
     min_angle = min((a for _, a in angles), default=float(np.pi))
     return MdmReport(

@@ -46,9 +46,14 @@ def mst(points) -> MstResult:
     be closer than |uv| to both u and v, so it would give a shorter cut edge
     on either side of the cut.  So uv is an edge of every Delaunay
     triangulation, and Prim picks the same vertex and source as over all
-    pairs.  Duplicates join their first copy by zero-length edges.
-    Other dimensions, and sets Qhull cannot triangulate (too few distinct
-    points, collinear, coplanar), take all pairs as candidates.
+    pairs.  Duplicates join their first copy by zero-length edges.  When
+    Qhull rejects a set whose lexicographic order is monotone in every
+    coordinate, as in every exactly collinear set, the candidates are
+    consecutive points of that order: for i < j < k, each coordinate of
+    p_j - p_i is at most that of p_k - p_i in size, and smaller in one, so
+    a shortest cut edge never skips a point.  Other dimensions, and other
+    sets Qhull cannot triangulate (too few distinct points, coplanar), take
+    all pairs as candidates.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -56,7 +61,7 @@ def mst(points) -> MstResult:
     if not np.all(np.isfinite(pts)):
         raise GeometryError("mst needs finite coordinates")
     n = pts.shape[0]
-    row = _delaunay_rows(pts)
+    row = _candidate_rows(pts)
     if row is None:
         every = np.arange(n)
 
@@ -86,8 +91,8 @@ def mst(points) -> MstResult:
     return MstResult(edges=edges, length=total)
 
 
-def _delaunay_rows(pts: np.ndarray):
-    """``row(v) -> (Delaunay neighbours, distances)``, or None to use all pairs."""
+def _candidate_rows(pts: np.ndarray):
+    """``row(v) -> (candidate neighbours, distances)``, or None to use all pairs."""
     n, d = pts.shape
     if d not in (2, 3):
         return None
@@ -96,16 +101,19 @@ def _delaunay_rows(pts: np.ndarray):
         return None
     try:
         tri = Delaunay(uniq)
+        if len(tri.coplanar):  # points Qhull left out of the triangulation
+            return None
+        a, b = np.triu_indices(d + 1, 1)
+        u, w = tri.simplices[:, a].ravel(), tri.simplices[:, b].ravel()
     except QhullError:
-        return None
-    if len(tri.coplanar):  # points Qhull left out of the triangulation
-        return None
-    simp = first[tri.simplices]
-    a, b = np.triu_indices(d + 1, 1)
+        step = np.diff(uniq, axis=0)  # np.unique sorts lexicographically
+        if not np.all((step >= 0.0).all(axis=0) | (step <= 0.0).all(axis=0)):
+            return None
+        u, w = np.arange(len(uniq) - 1), np.arange(1, len(uniq))
     rep = first[inverse.reshape(-1)]
     dup = np.flatnonzero(rep != np.arange(n))
-    u = np.concatenate([simp[:, a].ravel(), rep[dup]])
-    w = np.concatenate([simp[:, b].ravel(), dup])
+    u = np.concatenate([first[u], rep[dup]])
+    w = np.concatenate([first[w], dup])
     src, nbr = np.divmod(np.unique(np.concatenate([u * n + w, w * n + u])), n)
     dist = np.linalg.norm(pts[nbr] - pts[src], axis=1)
     ptr = np.searchsorted(src, np.arange(n + 1))

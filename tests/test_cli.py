@@ -241,6 +241,9 @@ class TestMdmCommands:
         assert printed == res.length
         assert res.report["covered"] is True
         assert len(res.report["energetic"]) > 0
+        # 33 grid widths, 2 starting golden points, 70 steps and the pick.
+        assert res.solver["converged"] is True
+        assert res.solver["iterations"] == 106
 
     def test_numeric_solve_small_circle(self, tmp_path, capsys):
         inst = _write(

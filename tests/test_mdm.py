@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
-from minnet.geometry import DEFAULT_TOL
+from minnet.geometry import DEFAULT_TOL, _closest_points, angle_at, point_segment_distances
 from minnet.mdm import (
     CompactSetDescriptor,
     MdmError,
@@ -23,6 +23,7 @@ from minnet.mdm import (
     stadium_competitor,
     verify_mdm,
 )
+from minnet.mdm import _closest_on_network, _gapped_parallel, _tangent_length
 from minnet.ratio import mst
 from minnet.steiner import instance_scale, solve_exact
 
@@ -55,6 +56,30 @@ class TestSampleCompact:
         x = np.clip(pts[:, 0], -L / 2.0, L / 2.0)
         d = np.hypot(pts[:, 0] - x, pts[:, 1])
         assert np.allclose(d, R, atol=1e-9)
+
+    @pytest.mark.parametrize("density", [200, 320, 400, 560, 800, 1600])
+    @pytest.mark.parametrize("R, L", [(1.5, 2.0), (3.0, 2.0), (6.0, 2.0)])
+    def test_stadium_matches_piecewise_walk(self, R, L, density):
+        # The walk one sample at a time, piece by piece, is the reference.
+        s = (2.0 * np.pi * R + 2.0 * L) * np.arange(density) / density
+        b1 = np.pi * R / 2.0
+        b2, b3 = b1 + L, b1 + L + np.pi * R
+        b4 = b3 + L
+        ref = np.empty((density, 2))
+        for i, si in enumerate(s):
+            if si < b1:
+                ref[i] = (L / 2.0 + R * np.cos(si / R), R * np.sin(si / R))
+            elif si < b2:
+                ref[i] = (L / 2.0 - (si - b1), R)
+            elif si < b3:
+                th = np.pi / 2.0 + (si - b2) / R
+                ref[i] = (-L / 2.0 + R * np.cos(th), R * np.sin(th))
+            elif si < b4:
+                ref[i] = (-L / 2.0 + (si - b3), -R)
+            else:
+                th = 3.0 * np.pi / 2.0 + (si - b4) / R
+                ref[i] = (L / 2.0 + R * np.cos(th), R * np.sin(th))
+        assert np.array_equal(sample_compact(CompactSetDescriptor.stadium(R, L), density), ref)
 
     def test_polygon_sampling_is_arclength_uniform(self):
         square = CompactSetDescriptor.polygon([[0, 0], [1, 0], [1, 1], [0, 1]])
@@ -138,6 +163,162 @@ class TestHorseshoeStadium:
     def test_rejects_negative_segment(self):
         with pytest.raises(MdmError):
             horseshoe_stadium(2.0, 1.0, -1.0, TOL)
+
+
+def _arc_distances(pts, arcs):
+    best = np.full(len(pts), np.inf)
+    for c, rho, a0, a1 in arcs:
+        v = pts - c
+        ang = np.mod(np.arctan2(v[:, 1], v[:, 0]), 2.0 * np.pi)
+        d = np.where((ang >= a0) & (ang <= a1), np.abs(np.linalg.norm(v, axis=1) - rho), np.inf)
+        for t in (a0, a1):
+            d = np.minimum(d, np.linalg.norm(pts - (c + rho * np.array([np.cos(t), np.sin(t)])), axis=1))
+        best = np.minimum(best, d)
+    return best
+
+
+def _bisected_tangent_length(R, r, L, w, samples):
+    """The sampled search: 90 bisection steps on the tangent length."""
+    arcs, segs, A, d = _gapped_parallel(R - r, L, w)
+    reach = r * (1.0 + 1e-9)
+    base = _arc_distances(samples, arcs)
+    if segs:
+        a, b = np.array([s[0] for s in segs]), np.array([s[1] for s in segs])
+        base = np.minimum(base, point_segment_distances(samples, a, b).min(axis=1))
+    # Samples the fixed pieces cover stay covered whatever the tangents do.
+    open_pts = samples[base > reach]
+    flip = np.array([1.0, -1.0])
+
+    def reached(pts, ell):
+        if ell <= 0.0:
+            return np.zeros(len(pts), dtype=bool)
+        end = A + ell * d
+        dist = point_segment_distances(pts, np.array([A, A * flip]), np.array([end, end * flip]))
+        return dist.min(axis=1) <= reach
+
+    if reached(open_pts, 0.0).all():
+        return 0.0
+    # A longer tangent still reaches what a shorter one did, and every later
+    # trial length is at least the last one that failed: drop what it reached.
+    hi = r
+    while not (ok := reached(open_pts, hi)).all():
+        open_pts = open_pts[~ok]
+        hi *= 2.0
+        if hi > 64.0 * (R + L + r):
+            return None
+    lo = 0.0
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        ok = reached(open_pts, mid)
+        if ok.all():
+            hi = mid
+        else:
+            lo, open_pts = mid, open_pts[~ok]
+    return hi
+
+
+class TestTangentLength:
+    def test_closed_form_matches_sampled_bisection(self):
+        r = 1.0
+        infeasible = past_cap = 0
+        for R in (1.5, 2.0, 3.0, 6.0):
+            for L in (0.0, 2.0):
+                rho = R - r
+                desc = CompactSetDescriptor.stadium(R, L) if L else CompactSetDescriptor.circle(R)
+                samples = sample_compact(desc, 100_000)
+                w_max = np.pi * rho if L == 0.0 else np.pi * rho / 2.0 + L
+                for frac in (0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.99):
+                    w = frac * w_max
+                    got = _tangent_length(R, r, L, w)
+                    ref = _bisected_tangent_length(R, r, L, w, samples)
+                    assert (got is None) == (ref is None), (R, L, w, got, ref)
+                    if got is None:
+                        infeasible += 1
+                    else:
+                        assert abs(got - ref) <= 1e-9 * r, (R, L, w, got, ref)
+                    past_cap += L > 0.0 and w > np.pi * rho / 2.0
+        assert infeasible >= 5 and past_cap >= 5
+
+
+class TestHorseshoeDenseCoverage:
+    @pytest.mark.parametrize("R, L", [(2.0, 0.0), (6.0, 0.0), (1.5, 2.0), (3.0, 2.0), (6.0, 2.0)])
+    def test_covers_1e5_boundary_samples(self, R, L):
+        if L:
+            net, _ = horseshoe_stadium(R, 1.0, L, TOL)
+            desc = CompactSetDescriptor.stadium(R, L)
+        else:
+            net, _ = horseshoe_circle(R, 1.0, TOL)
+            desc = CompactSetDescriptor.circle(R)
+        rep = coverage_check(net, sample_compact(desc, 100_000), 1.0, TOL)
+        assert rep.covered
+        assert rep.max_defect <= TOL.coverage_eps * desc.diameter()
+
+
+def _dense_closest(net, samples):
+    """Every (sample, edge) pair: first minimal edge, then a strictly closer vertex."""
+    S = len(samples)
+    best_d = np.full(S, np.inf)
+    best_p = np.zeros((S, net.vertices.shape[1]))
+    a, b = net.segment_arrays()
+    rows = np.arange(S)
+    if len(a):
+        _, closest = _closest_points(samples[:, None], a[None], b[None])
+        dist = np.linalg.norm(samples[:, None, :] - closest, axis=2)
+        j = dist.argmin(axis=1)
+        best_d, best_p = dist[rows, j], closest[rows, j]
+    dv = np.linalg.norm(samples[:, None, :] - net.vertices[None], axis=2)
+    jv = dv.argmin(axis=1)
+    closer = dv[rows, jv] < best_d
+    best_d[closer] = dv[rows, jv][closer]
+    best_p[closer] = net.vertices[jv[closer]]
+    return best_d, best_p
+
+
+def _closest_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for d in (2, 3):
+        V = rng.uniform(-4.0, 4.0, size=(60, d))
+        V = np.vstack([V, V[:5], V[10:11] + 1e-13])  # duplicates and a near-duplicate
+        edges = [(i, int(rng.integers(0, i))) for i in range(1, 50)]  # a random tree
+        edges += [(0, 59), (1, 58), (2, 57)]  # long chords
+        edges += [(3, 60), (4, 4), (10, 65)]  # zero-length edges
+        # vertices 50..56 stay isolated
+        V[57:60] *= 6.0
+        samples = np.vstack([
+            rng.uniform(-30.0, 30.0, size=(300, d)),
+            rng.uniform(-4.0, 4.0, size=(300, d)),
+            V,  # samples sitting on vertices
+            0.5 * (V[[e[0] for e in edges]] + V[[e[1] for e in edges]]),
+        ])
+        cases[f"tree{d}d"] = (MdmNetwork(V, edges), samples)
+        few = rng.uniform(-1.0, 1.0, size=(5, d))
+        cases[f"few{d}d"] = (MdmNetwork(few, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), samples)
+        cases[f"edgeless{d}d"] = (MdmNetwork(V, []), samples)
+        cases[f"single{d}d"] = (MdmNetwork(V[:1], []), samples[:50])
+    # A polyline whose edge lengths span four decades forces re-queries.
+    t = np.cumsum(np.r_[0.0, 10.0 ** rng.uniform(-3.0, 0.0, size=400)])
+    curve = np.column_stack([np.cos(t / t[-1] * 5.0), np.sin(t / t[-1] * 5.0)]) * (1.0 + 0.1 * np.sin(t))[:, None]
+    ring = np.column_stack([np.cos(np.linspace(0, 2 * np.pi, 2000)), np.sin(np.linspace(0, 2 * np.pi, 2000))])
+    cases["uneven"] = (MdmNetwork(curve, [(i, i + 1) for i in range(400)]), np.vstack([1.1 * ring, 0.3 * ring, curve]))
+    hs, _ = horseshoe_stadium(3.0, 1.0, 2.0, TOL)
+    cases["horseshoe"] = (hs, sample_compact(CompactSetDescriptor.stadium(3.0, 2.0), 1441))
+    return cases
+
+
+CLOSEST_CASES = _closest_cases()
+
+
+class TestClosestOnNetwork:
+    # The tree and uneven cases search again past K = 8, the tree cases up
+    # to every vertex.
+    @pytest.mark.parametrize("name", sorted(CLOSEST_CASES))
+    def test_bitwise_equal_to_dense_search(self, name):
+        net, samples = CLOSEST_CASES[name]
+        d, p = _closest_on_network(net, samples)
+        d_ref, p_ref = _dense_closest(net, samples)
+        assert np.array_equal(d, d_ref)
+        assert np.array_equal(p, p_ref)
 
 
 class TestStadiumCompetitor:
@@ -304,7 +485,44 @@ class TestEnergeticPoints:
         assert on_arc.mean() > 0.9
 
 
+    def test_dedupe_keeps_first_come_points(self):
+        # Many witnesses share the segment's endpoints as nearest points; the
+        # greedy rule keeps the first of each cluster, in sample order.
+        net = MdmNetwork(np.array([[0.0, 0.0], [4.0, 0.0]]), [(0, 1)])
+        rng = np.random.default_rng(5)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 400)
+        ends = np.where(rng.random(400) < 0.5, 0.0, 4.0)
+        samples = np.column_stack([ends + np.cos(ang), np.sin(ang)])
+        es = energetic_points(net, samples, 1.0, TOL)
+        d, p = _closest_on_network(net, samples)
+        radius = TOL.eps_len * 4.0
+        ref = []
+        for i in np.flatnonzero((d >= 1.0 - 1e-3) & (d <= 1.0 + TOL.coverage_eps * instance_scale(samples))):
+            if not any(np.linalg.norm(p[i] - q) <= radius for q, _ in ref):
+                ref.append((p[i], samples[i]))
+        assert len(es.points) == len(ref) < 400
+        for (x, y), (xr, yr) in zip(es.points, ref):
+            assert np.array_equal(x, xr) and np.array_equal(y, yr)
+
+
 class TestVerifyMdm:
+    def test_angles_match_angle_at(self):
+        rng = np.random.default_rng(9)
+        V = rng.uniform(0.0, 3.0, size=(40, 2))
+        edges = [(i, int(rng.integers(0, i))) for i in range(1, 40)] + [(5, 7), (7, 5)]
+        rep = verify_mdm(MdmNetwork(V, edges), 40, TOL)
+        adj = {}
+        for u, v in dict.fromkeys((min(u, v), max(u, v)) for u, v in edges):
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        ref = [
+            (vtx, min(angle_at(V[vtx], V[a], V[b]) for i, a in enumerate(nb) for b in nb[i + 1:]))
+            for vtx, nb in adj.items()
+            if len(nb) >= 2
+        ]
+        assert sorted(rep.vertex_angles) == sorted(ref)
+        assert rep.min_angle == min(a for _, a in ref)
+
     def test_single_segment(self):
         net = MdmNetwork(np.array([[0.0, 0.0], [2.0, 0.0]]), [(0, 1)])
         rep = verify_mdm(net, 2, TOL)

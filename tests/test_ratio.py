@@ -1,5 +1,7 @@
 """Tests for MSTs, Steiner ratios, and the simplex/sausage generators."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -139,6 +141,22 @@ class TestMstMatchesDensePrim:
     def test_rejects_non_finite(self):
         with pytest.raises(GeometryError):
             mst([[0.0, 0.0], [np.nan, 1.0]])
+
+    def test_large_collinear_set_takes_consecutive_candidates(self):
+        # Qhull rejects the set; consecutive points along the line are the
+        # candidates, so 4096 points cost about what a uniform set does.
+        t = np.random.default_rng(17).permutation(np.arange(4096.0) / 7.0)
+        pts = np.column_stack([t, 2.0 * t])
+        res = mst(pts)
+        edges, total = dense_prim_oracle(pts)
+        assert res.edges == edges
+        assert res.length == total
+        timings = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            mst(pts)
+            timings.append(time.perf_counter() - t0)
+        assert min(timings) < 0.2
 
 
 class TestSteinerRatio:
