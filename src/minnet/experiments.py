@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import fermat_point_triples
 from .ratio import caterpillar_topology, mst
-from .steiner import EmbeddedTree, instance_scale, relax_topology, solve_exact
+from .steiner import EmbeddedTree, _gs_sweeps, instance_scale, relax_topology, solve_exact
 from .topology import Topology
 
 SQRT3 = float(np.sqrt(3.0))
@@ -145,18 +145,17 @@ def homothety_instance(n_gon: int, lam: float = DEFAULT_LAMBDA, k_max: int = 1) 
 # heuristic upper-bound solver
 
 
-def _edges_length(coords: np.ndarray, edges: np.ndarray) -> float:
-    return float(np.linalg.norm(coords[edges[:, 0]] - coords[edges[:, 1]], axis=1).sum())
-
-
 def heuristic_steiner(points) -> EmbeddedTree:
     """MST upper bound improved by local Fermat-point insertion.
 
     Wherever two tree edges meet at an input point below 2*pi/3, reroute them
-    through the Fermat point of the three endpoints involved; then pull every
-    branch point onto the Fermat point of its current neighbors, and repeat
-    until nothing moves.  Every step shortens the tree, so the result never
-    exceeds the spanning tree it starts from.
+    through the Fermat point of the three endpoints involved; then relax the
+    branch points with the exact solver's Gauss-Seidel Fermat sweeps
+    (``steiner._gs_sweeps``, at most 250 per round, until no point moves by
+    more than 1e-9 of the scale), and repeat for at most 40 rounds.  Every
+    step shortens the tree, so the result never exceeds the spanning tree it
+    starts from.  ``converged`` means that the last round inserted nothing
+    and its relaxation settled before the 250-sweep cap.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -219,37 +218,19 @@ def heuristic_steiner(points) -> EmbeddedTree:
                 n_nodes += 1
                 inserted += 1
 
-        delta = 0.0
-        e_arr = np.array(sorted(edges), dtype=int)
-        cur_len = _edges_length(coords[:n_nodes], e_arr)
+        settled = True
         if n_nodes > n:
-            nb3 = np.array([sorted(adj[i]) for i in range(n, n_nodes)], dtype=int)
-            for _ in range(_RELAX_SWEEPS):
-                target = fermat_point_triples(coords[nb3])
-                delta = float(np.abs(target - coords[n:n_nodes]).max())
-                cand = coords[:n_nodes].copy()
-                cand[n:] = target
-                cand_len = _edges_length(cand, e_arr)
-                if cand_len > cur_len:
-                    # Damp the simultaneous update; stop rather than ever
-                    # accept a longer tree.
-                    cand[n:] = 0.5 * (coords[n:n_nodes] + target)
-                    cand_len = _edges_length(cand, e_arr)
-                    if cand_len > cur_len:
-                        break
-                coords[n:n_nodes] = cand[n:]
-                cur_len = cand_len
-                if delta <= 1e-9 * scale:
-                    break
-        trace.append(cur_len)
-        if inserted == 0 and delta <= 1e-9 * scale:
+            nb = np.array([sorted(adj[i]) for i in range(n, n_nodes)], dtype=int)
+            settled = _gs_sweeps(coords[None], nb[None], n, 1e-9 * scale, _RELAX_SWEEPS) < _RELAX_SWEEPS
+        e = np.array(sorted(edges), dtype=int)
+        trace.append(float(np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1).sum()))
+        if inserted == 0 and settled:
             converged = True
             break
 
     e_final = tuple(sorted(edges))
     topo = Topology(n, n_nodes - n, e_final)
-    length = _edges_length(coords[:n_nodes], np.array(e_final, dtype=int))
-    return EmbeddedTree(topo, pts, coords[n:n_nodes].copy(), length, converged, tuple(trace))
+    return EmbeddedTree(topo, pts, coords[n:n_nodes].copy(), trace[-1], converged, tuple(trace))
 
 
 # ---------------------------------------------------------------------------

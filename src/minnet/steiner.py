@@ -3,8 +3,11 @@
 The geometric optimum for a *fixed* topology is found by block-coordinate
 descent: each branch node moves to the exact Fermat point of its three
 current neighbors (closed form, so degenerate collapses land exactly on a
-vertex).  Total length is convex in the branch coordinates, and each block
-update is the exact block minimizer, so the sweep never increases length.
+vertex).  :func:`_gs_sweeps` moves each of two colour classes of branch
+nodes with one batched kernel call, which is node-by-node Gauss-Seidel.
+Total length is convex in the branch coordinates, and each node update is
+the exact block minimizer, so the sweep never increases length.  The exact
+solver, the heuristic and ``mdm.solve_mdm_finite`` all relax through it.
 
 Coordinate descent stalls where coincident branch nodes want to translate
 as a block, and crawls where short edges couple branch nodes stiffly.  A
@@ -172,13 +175,10 @@ def _harmonic_init(terminals: np.ndarray, nb: np.ndarray) -> np.ndarray:
     lap = np.zeros((T, s, s))
     rhs = np.zeros((T, s, d))
     lap[:, np.arange(s), np.arange(s)] = 3.0
-    for i in range(s):
-        for k in range(3):
-            j = nb[:, i, k]
-            steiner_rows = np.flatnonzero(j >= n)
-            lap[steiner_rows, i, j[steiner_rows] - n] -= 1.0
-            term_rows = np.flatnonzero(j < n)
-            rhs[term_rows, i] += terminals[j[term_rows]]
+    t, i, k = np.nonzero(nb >= n)
+    np.add.at(lap, (t, i, nb[t, i, k] - n), -1.0)
+    t, i, k = np.nonzero(nb < n)  # add.at sums each node's terminals in k order
+    np.add.at(rhs, (t, i), terminals[nb[t, i, k]])
     return np.linalg.solve(lap, rhs)
 
 
@@ -223,6 +223,21 @@ def _lower_bounds(X, nb, edg, n: int, degen: float) -> np.ndarray:
     return _total_lengths(X, edg) + drop.sum(axis=1) - charge
 
 
+def _colour_classes(nb: np.ndarray, n: int) -> np.ndarray:
+    """(T, s) boolean colour of each branch node; no edge joins two of one colour.
+
+    In the double cover of the branch forest (v and v + m per node, u-(v + m)
+    and (u + m)-v per edge) each tree splits in two; colour 0 is the half
+    holding the tree's smallest node, where ``label[v] < label[v + m]``.
+    """
+    T, s, _ = nb.shape
+    m = T * s
+    t, i, k = np.nonzero(nb >= n)
+    a, b = t * s + i, t * s + nb[t, i, k] - n
+    lab = _labels(2 * m, np.column_stack([np.r_[a, a + m], np.r_[b + m, b]]))
+    return (lab[:m] > lab[m:]).reshape(T, s)
+
+
 def _gs_sweeps(
     X: np.ndarray,
     nb: np.ndarray,
@@ -235,6 +250,12 @@ def _gs_sweeps(
     balls: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> int:
     """In-place Gauss-Seidel Fermat sweeps over a shrinking batch; returns sweeps run.
+
+    A sweep moves the branch nodes of colour 0 (:func:`_colour_classes`) to
+    their Fermat points with one kernel call, then those of colour 1.  No
+    edge joins two nodes of one colour, so the class update is node-by-node
+    Gauss-Seidel: each node lands on the exact minimizer of its three edges
+    with its neighbours fixed, and length never increases.
 
     A topology leaves the batch after its first sweep that moves no node by
     more than ``move_target``, so its embedding does not depend on how
@@ -249,8 +270,8 @@ def _gs_sweeps(
     its one neighbour ``leaf_nbr[t, i]``, the exact block minimizer for a
     leaf, and those moves count toward retirement like the others.
     """
-    T, s, _ = nb.shape
-    act = np.arange(T)
+    act = np.arange(len(nb))
+    colour = _colour_classes(nb, n)
     Xa, nba = X, nb
     if certify is not None:
         pruned, degen, eps_tie = certify
@@ -258,21 +279,23 @@ def _gs_sweeps(
     if balls is not None:
         centers, radii, leaf_nbr = balls
     sweeps = 0
+    classes = None
     while sweeps < max_sweeps and len(act):
-        t_idx = np.arange(len(act))[:, None]
+        if classes is None:  # (row, column, neighbours) of each colour class
+            split = [np.nonzero(colour[act] == c) for c in (False, True)]
+            classes = [(rows, n + i, nba[rows, i]) for rows, i in split if len(rows)]
         move = np.zeros(len(act))
         if balls is not None:
-            v = Xa[t_idx, leaf_nbr[act]] - centers
+            v = Xa[np.arange(len(act))[:, None], leaf_nbr[act]] - centers
             dist = np.linalg.norm(v, axis=2)
             reach = np.minimum(dist, radii) / np.where(dist == 0.0, 1.0, dist)
             new = centers + reach[..., None] * v
             move = np.linalg.norm(new - Xa[:, :n], axis=2).max(axis=1)
             Xa[:, :n] = new
-        for i in range(s):
-            triples = Xa[t_idx, nba[:, i, :]]
-            new = fermat_point_triples(triples)
-            np.maximum(move, np.linalg.norm(new - Xa[:, n + i], axis=1), out=move)
-            Xa[:, n + i] = new
+        for rows, cols, nbrs in classes:
+            new = fermat_point_triples(Xa[rows[:, None], nbrs])
+            np.maximum.at(move, rows, np.linalg.norm(new - Xa[rows, cols], axis=1))
+            Xa[rows, cols] = new
         sweeps += 1
         keep = move > move_target
         if trace is not None and edg is not None:
@@ -294,6 +317,7 @@ def _gs_sweeps(
                 best[act[~keep]] = _total_lengths(Xa[~keep], edg[act[~keep]])
             act = act[keep]
             Xa, nba = X[act], nb[act]
+            classes = None
     if Xa is not X:
         X[act] = Xa
     return sweeps

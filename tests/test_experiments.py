@@ -171,6 +171,14 @@ class TestHeuristicSteiner:
         assert trace[0] == pytest.approx(mst(pts).length, abs=1e-12)
         assert np.all(np.diff(trace) <= 1e-12)
 
+    @pytest.mark.parametrize("seed", [2, 7, 9, 10])
+    def test_converges_before_the_round_cap(self, seed):
+        # Each round relaxes with Gauss-Seidel sweeps until they settle, so
+        # these clouds stop once no insertion fires, well inside 40 rounds.
+        tree = heuristic_steiner(random_instance(128, seed))
+        assert tree.converged
+        assert len(tree.length_trace) - 1 < 40
+
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(3, 12), seed=st.integers(0, 10_000))
     def test_never_beats_nothing_never_exceeds_mst(self, n, seed):

@@ -8,12 +8,20 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from minnet.experiments import heuristic_steiner, hex_lattice_instance
-from minnet.geometry import DEFAULT_TOL, GeometryError, ToleranceConfig, angle_at
+from minnet import steiner
+from minnet.experiments import heuristic_steiner, hex_lattice_instance, random_instance
+from minnet.geometry import (
+    DEFAULT_TOL,
+    GeometryError,
+    ToleranceConfig,
+    angle_at,
+    fermat_point_triples,
+)
 from minnet.ratio import caterpillar_topology
 from minnet.steiner import (
     EmbeddedTree,
     TreeReport,
+    _colour_classes,
     _gs_sweeps,
     _harmonic_init,
     _lower_bounds,
@@ -391,6 +399,73 @@ class TestLowerBound:
             together = swept(topologies, radius)
             for t in range(len(topologies)):
                 assert np.array_equal(swept(topologies[t : t + 1], radius)[0], together[t])
+
+
+class TestColourClasses:
+    """A sweep moves two colour classes, each with one batched Fermat call."""
+
+    def _assert_proper(self, nb: np.ndarray, n: int) -> np.ndarray:
+        colour = _colour_classes(nb, n)
+        assert colour.shape == nb.shape[:2] and colour.dtype == bool
+        # Every branch node sits in exactly one class, and no branch-branch
+        # edge stays inside a class.
+        zero, one = np.nonzero(~colour), np.nonzero(colour)
+        assert len(zero[0]) + len(one[0]) == colour.size
+        t, i, k = np.nonzero(nb >= n)
+        assert len(t) > 0
+        assert np.all(colour[t, i] != colour[t, nb[t, i, k] - n])
+        return colour
+
+    def test_all_topologies_of_seven_terminals(self):
+        nb, _ = _tables(enumerate_full_topologies(7), 7)
+        assert len(nb) == 945
+        self._assert_proper(nb, 7)
+
+    def test_caterpillar(self):
+        nb, _ = _tables([caterpillar_topology(40)], 40)
+        colour = self._assert_proper(nb, 40)
+        assert np.array_equal(colour[0], np.arange(38) % 2 == 1)
+
+    def test_heuristic_branch_forest(self):
+        n = 128
+        tree = heuristic_steiner(random_instance(n, 2))
+        topo = tree.topology
+        nb = np.array([topo.neighbors(n + i) for i in range(topo.n_steiner)])[None]
+        self._assert_proper(nb, n)
+        # The branch nodes form a forest of several trees, isolated nodes
+        # included, not one tree.
+        t, i, k = np.nonzero(nb >= n)
+        assert len(t) < 2 * (topo.n_steiner - 1)
+
+    def test_two_kernel_calls_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counting(triples):
+            calls.append(len(triples))
+            return fermat_point_triples(triples)
+
+        pts = np.random.default_rng(40).uniform(0.0, 1.0, (40, 2))
+        X, nb, _ = _embeddings_after(pts, [caterpillar_topology(40)], 0)
+        monkeypatch.setattr(steiner, "fermat_point_triples", counting)
+        _gs_sweeps(X, nb, 40, 0.0, 5)
+        assert len(calls) == 10
+        assert sum(calls) == 5 * 38
+
+    def test_class_update_is_node_by_node_gauss_seidel(self):
+        # Moving a class at once equals moving its nodes one at a time, class
+        # 0 first, bit for bit.
+        pts = np.random.default_rng(9).uniform(0.0, 1.0, (7, 3))
+        topologies = enumerate_full_topologies(7)[::50]
+        X, nb, _ = _embeddings_after(pts, topologies, 0)
+        colour = _colour_classes(nb, 7)
+        Y = X.copy()
+        _gs_sweeps(X, nb, 7, 0.0, 3)
+        for _ in range(3):
+            for t in range(len(topologies)):
+                for c in (False, True):
+                    for i in np.flatnonzero(colour[t] == c):
+                        Y[t, 7 + i] = fermat_point_triples(Y[t, nb[t, i]][None])[0]
+        assert np.array_equal(X, Y)
 
 
 def _dense_scale_oracle(pts: np.ndarray) -> float:
