@@ -4,7 +4,10 @@ The generators cover the point families the length studies need: seeded
 uniform clouds, hexagonal-lattice clips of the unit square, the zigzag strip,
 and nested homothety rings in R^3.  ``heuristic_steiner`` upgrades a minimum
 spanning tree by local Fermat-point insertion so that instances far beyond
-exact-solver range still get a decent upper bound, ``fit_power_law`` extracts
+exact-solver range still get a decent upper bound; it batches a round's
+insertions into waves of points whose lower-index neighbours have finished,
+which build the tree a point-by-point scan builds, bit for bit, with one
+Fermat-kernel call per wave.  ``fit_power_law`` extracts
 growth exponents, and ``run_suite`` turns row descriptions into a
 deterministic CSV table.
 """
@@ -156,6 +159,21 @@ def heuristic_steiner(points) -> EmbeddedTree:
     step shortens the tree, so the result never exceeds the spanning tree it
     starts from.  ``converged`` means that the last round inserted nothing
     and its relaxation settled before the 250-sweep cap.
+
+    A round's insertions are those of a scan over the input points in index
+    order: while a point keeps two or more neighbours, it inserts at the pair
+    of them with the narrowest angle (neighbours sorted by node id, the first
+    pair wins ties) until the angle gate or the gain test stops it.  The scan
+    runs in waves.  Each wave takes every pending point that has no pending
+    lower-index input-point neighbour, with one Gram product per degree class
+    and one ``fermat_point_triples`` call.  An insertion at v rewires only v,
+    its pair and the new node; it never joins two input points and moves no
+    coordinate.  So v's decisions read only its own neighbours, which no
+    point but v and its input-point neighbours changes: the lower-index ones
+    have finished and the higher-index ones wait for v.  The waves therefore
+    make the scan's insertions.  The round ends by renumbering its new nodes
+    into the scan's creation order, so the tree, its trace and ``converged``
+    are the scan's, bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -174,6 +192,10 @@ def heuristic_steiner(points) -> EmbeddedTree:
     n_nodes = n
     adj: list[set[int]] = [set() for _ in range(2 * n - 2)]
     edges: set[tuple[int, int]] = set()
+    # Neighbour sort key: the node id, except that a node inserted this round
+    # at input point v as its c-th insertion gets 2n + v*n + c, the scan's
+    # creation order, until the round ends and renumbers it.
+    key = list(range(2 * n - 2))
 
     def _add(u: int, v: int) -> None:
         edges.add((min(u, v), max(u, v)))
@@ -191,32 +213,73 @@ def heuristic_steiner(points) -> EmbeddedTree:
     trace = [base.length]
     converged = False
     for _ in range(_MAX_ROUNDS):
-        inserted = 0
-        for v in range(n):
-            while len(adj[v]) >= 2:
-                nb = sorted(adj[v])
-                vec = coords[nb] - coords[v]
-                nrm = np.linalg.norm(vec, axis=1)
-                unit = vec / np.maximum(nrm, 1e-300)[:, None]
-                gram = unit @ unit.T
-                iu = np.triu_indices(len(nb), 1)
-                k = int(np.argmax(gram[iu]))
-                if gram[iu][k] <= _COS_GATE:
-                    break
-                ai, bi = nb[iu[0][k]], nb[iu[1][k]]
-                s = fermat_point_triples(coords[None, [ai, bi, v]])[0]
-                star = float(np.linalg.norm(coords[[ai, bi, v]] - s, axis=1).sum())
-                if nrm[iu[0][k]] + nrm[iu[1][k]] - star <= gain_tol:
-                    break
-                si = n_nodes
-                coords[si] = s
-                _drop(ai, v)
-                _drop(bi, v)
-                _add(ai, si)
-                _add(bi, si)
-                _add(v, si)
+        n0 = n_nodes
+        pending = np.array([len(adj[v]) >= 2 for v in range(n)])
+        # Input-point pairs joined at the round start: insertions only remove
+        # such edges, so this superset is enough to order the waves.
+        tt = np.array([e for e in edges if e[1] < n], dtype=np.intp).reshape(-1, 2)
+        tt = tt[pending[tt[:, 0]] & pending[tt[:, 1]]]
+        chain = [0] * n
+        while pending.any():
+            # A point waits while a lower-index input-point neighbour is pending.
+            blocked = np.zeros(n, dtype=bool)
+            blocked[tt[pending[tt[:, 0]], 1]] = True
+            ready = np.flatnonzero(pending & ~blocked)
+            pending[ready] = False
+            nbs = [sorted(adj[v], key=key.__getitem__) for v in ready.tolist()]
+            deg = np.array([len(nb) for nb in nbs])
+            picks = []
+            for k in np.unique(deg).tolist():
+                rows = np.flatnonzero(deg == k)
+                vs = ready[rows]
+                nb = np.array([nbs[i] for i in rows.tolist()], dtype=np.intp)
+                vec = coords[nb] - coords[vs][:, None]
+                nrm = np.linalg.norm(vec, axis=2)
+                unit = vec / np.maximum(nrm, 1e-300)[:, :, None]
+                gram = unit @ unit.transpose(0, 2, 1)
+                iu, ju = np.triu_indices(k, 1)
+                cos = gram[:, iu, ju]
+                j = np.argmax(cos, axis=1)
+                r = np.flatnonzero(cos[np.arange(len(vs)), j] > _COS_GATE)
+                ia, ib = iu[j[r]], ju[j[r]]
+                picks.append((vs[r], nb[r, ia], nb[r, ib], nrm[r, ia] + nrm[r, ib]))
+            v, a, b, span = (np.concatenate(x) for x in zip(*picks))
+            if v.size == 0:
+                continue
+            tri = np.stack([a, b, v], axis=1)
+            s = fermat_point_triples(coords[tri])
+            star = np.linalg.norm(coords[tri] - s[:, None], axis=2).sum(axis=1)
+            keep = span - star > gain_tol
+            s = s[keep]
+            coords[n_nodes : n_nodes + len(s)] = s
+            for vi, ai, bi in zip(v[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
+                key[n_nodes] = 2 * n + vi * n + chain[vi]
+                chain[vi] += 1
+                _drop(ai, vi)
+                _drop(bi, vi)
+                _add(ai, n_nodes)
+                _add(bi, n_nodes)
+                _add(vi, n_nodes)
                 n_nodes += 1
-                inserted += 1
+                pending[vi] = len(adj[vi]) >= 2
+        inserted = n_nodes - n0
+
+        # Give the round's new nodes the ids the scan would have given them.
+        order = sorted(range(n0, n_nodes), key=key.__getitem__)
+        if order != list(range(n0, n_nodes)):
+            ren = list(range(n_nodes))
+            for new, old in enumerate(order, n0):
+                ren[old] = new
+            moved = adj[n0:n_nodes]
+            for w in set().union(*moved).difference(range(n0, n_nodes)):
+                adj[w] = {ren[x] for x in adj[w]}
+            for old, nbrs in enumerate(moved, n0):
+                adj[ren[old]] = {ren[x] for x in nbrs}
+            renamed = {(min(ren[u], ren[w]), max(ren[u], ren[w])) for u, w in edges}
+            edges.clear()
+            edges.update(renamed)
+            coords[n0:n_nodes] = coords[order]
+        key[n0:n_nodes] = range(n0, n_nodes)
 
         settled = True
         if n_nodes > n:

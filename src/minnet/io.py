@@ -31,7 +31,34 @@ class IoError(ValueError):
 # canonical JSON
 
 
+def _float_rows(items: list) -> str:
+    """Nested lists of finite floats, one join per innermost row."""
+    if items and isinstance(items[0], list):
+        return "[" + ",".join(map(_float_rows, items)) + "]"
+    return "[" + ",".join(f"{v:.17g}" for v in items) + "]"
+
+
+def _int_rows(items: list) -> str | None:
+    """A list of int sequences, one join per row; None if it is not one."""
+    rows = []
+    for row in items:
+        if not isinstance(row, (list, tuple)) or not all(type(v) is int for v in row):
+            return None
+        rows.append("[" + ",".join(map(str, row)) + "]")
+    return "[" + ",".join(rows) + "]"
+
+
 def _render(obj, out: list) -> None:
+    # Fast paths, byte for byte what the recursion below writes: finite float
+    # arrays (vertex coordinates) and lists of int rows (edges).
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all():
+        out.append(_float_rows(obj.tolist()))
+        return
+    if isinstance(obj, list):
+        rows = _int_rows(obj)
+        if rows is not None:
+            out.append(rows)
+            return
     if obj is None or obj is True or obj is False:
         out.append("null" if obj is None else ("true" if obj else "false"))
     elif isinstance(obj, str):

@@ -84,6 +84,11 @@ GAP_EVALUATIONS = _GAP_GRID + 2 + _GOLDEN_STEPS + 1
 # measure-zero so a band is required numerically.
 _ENERGETIC_BAND = 1e-3
 
+# Samples per block of the closest-point search.  A sample has a few dozen
+# candidate pairs, so a block's arrays stay at a few hundred thousand pairs
+# however many samples there are.
+_CLOSEST_BLOCK = 4096
+
 
 class MdmError(ValueError):
     """Invalid descriptor, infeasible parameters, or failed feasibility."""
@@ -974,50 +979,53 @@ def _closest_on_network(net: MdmNetwork, samples: np.ndarray):
     deg = np.diff(inc_ptr)
     margin = 1e-12 * (np.abs(V).max() + np.abs(samples).max())
     tree = cKDTree(V)
-    todo = np.arange(S)
-    k = 8
-    while todo.size:
-        kk = min(k, n)
-        ys = samples[todo]
-        dk, nn = tree.query(ys, k=kk)
-        dk, nn = dk.reshape(len(todo), kk), nn.reshape(len(todo), kk)
-        # Candidate (sample, edge) pairs: incident short edges, then long ones.
-        cnt = deg[nn].ravel()
-        rows = np.repeat(np.repeat(np.arange(len(todo)), kk), cnt)
-        first = np.repeat(inc_ptr[nn].ravel() - np.cumsum(cnt) + cnt, cnt)
-        cols = inc_e[first + np.arange(len(rows))]
-        rows = np.concatenate([rows, np.repeat(np.arange(len(todo)), len(long_ids))])
-        cols = np.concatenate([cols, np.tile(long_ids, len(todo))])
-        d_e = np.full(len(todo), np.inf)
-        p_e = np.zeros_like(ys)
-        if rows.size:
-            # Rows grouped, edges ascending within a row.
-            order = np.argsort(rows * len(lens) + cols)
-            rows, cols = rows[order], cols[order]
-            y = ys[rows]
-            _, cp = _closest_points(y, a[cols], b[cols])
-            dist = np.linalg.norm(y - cp, axis=1)
-            # The first minimal edge of each row.
-            start = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
-            count = np.diff(np.r_[start, len(rows)])
-            pick = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, start), count))
-            pick = pick[np.r_[True, rows[pick][1:] != rows[pick][:-1]]]
-            d_e[rows[pick]] = dist[pick]
-            p_e[rows[pick]] = cp[pick]
-        # Nearest of the K vertices, the lowest index among exact ties.
-        nn = np.sort(nn, axis=1)
-        dv = np.linalg.norm(ys[:, None, :] - V[nn], axis=2)
-        jv = dv.argmin(axis=1)
-        dvm = dv[np.arange(len(todo)), jv]
-        closer = dvm < d_e
-        d_e[closer] = dvm[closer]
-        p_e[closer] = V[nn[closer, jv[closer]]]
-        bound = np.sqrt(np.maximum(dk[:, -1] ** 2 - half * half, 0.0)) - margin
-        done = d_e <= (np.inf if kk == n else bound)
-        best_d[todo[done]] = d_e[done]
-        best_p[todo[done]] = p_e[done]
-        todo = todo[~done]
-        k = 4 * kk
+    # Blocks of samples bound the candidate arrays; every step is per sample,
+    # so the blocking changes no bit.
+    for lo in range(0, S, _CLOSEST_BLOCK):
+        todo = np.arange(lo, min(lo + _CLOSEST_BLOCK, S))
+        k = 8
+        while todo.size:
+            kk = min(k, n)
+            ys = samples[todo]
+            dk, nn = tree.query(ys, k=kk)
+            dk, nn = dk.reshape(len(todo), kk), nn.reshape(len(todo), kk)
+            # Candidate (sample, edge) pairs: incident short edges, then long ones.
+            cnt = deg[nn].ravel()
+            rows = np.repeat(np.repeat(np.arange(len(todo)), kk), cnt)
+            first = np.repeat(inc_ptr[nn].ravel() - np.cumsum(cnt) + cnt, cnt)
+            cols = inc_e[first + np.arange(len(rows))]
+            rows = np.concatenate([rows, np.repeat(np.arange(len(todo)), len(long_ids))])
+            cols = np.concatenate([cols, np.tile(long_ids, len(todo))])
+            d_e = np.full(len(todo), np.inf)
+            p_e = np.zeros_like(ys)
+            if rows.size:
+                # Rows grouped, edges ascending within a row.
+                order = np.argsort(rows * len(lens) + cols)
+                rows, cols = rows[order], cols[order]
+                y = ys[rows]
+                _, cp = _closest_points(y, a[cols], b[cols])
+                dist = np.linalg.norm(y - cp, axis=1)
+                # The first minimal edge of each row.
+                start = np.flatnonzero(np.r_[True, rows[1:] != rows[:-1]])
+                count = np.diff(np.r_[start, len(rows)])
+                pick = np.flatnonzero(dist == np.repeat(np.minimum.reduceat(dist, start), count))
+                pick = pick[np.r_[True, rows[pick][1:] != rows[pick][:-1]]]
+                d_e[rows[pick]] = dist[pick]
+                p_e[rows[pick]] = cp[pick]
+            # Nearest of the K vertices, the lowest index among exact ties.
+            nn = np.sort(nn, axis=1)
+            dv = np.linalg.norm(ys[:, None, :] - V[nn], axis=2)
+            jv = dv.argmin(axis=1)
+            dvm = dv[np.arange(len(todo)), jv]
+            closer = dvm < d_e
+            d_e[closer] = dvm[closer]
+            p_e[closer] = V[nn[closer, jv[closer]]]
+            bound = np.sqrt(np.maximum(dk[:, -1] ** 2 - half * half, 0.0)) - margin
+            done = d_e <= (np.inf if kk == n else bound)
+            best_d[todo[done]] = d_e[done]
+            best_p[todo[done]] = p_e[done]
+            todo = todo[~done]
+            k = 4 * kk
     return best_d, best_p
 
 

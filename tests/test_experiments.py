@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minnet.experiments import (
+    _COS_GATE,
+    _MAX_ROUNDS,
+    _RELAX_SWEEPS,
     CSV_COLUMNS,
     ExperimentError,
     fit_power_law,
@@ -19,8 +22,9 @@ from minnet.experiments import (
     run_suite,
     zigzag_instance,
 )
+from minnet.geometry import fermat_point_triples
 from minnet.ratio import mst
-from minnet.steiner import solve_exact, verify_tree
+from minnet.steiner import _gs_sweeps, instance_scale, solve_exact, verify_tree
 
 SQRT3 = math.sqrt(3.0)
 
@@ -190,6 +194,104 @@ class TestHeuristicSteiner:
     def test_rejects_single_point(self):
         with pytest.raises(ExperimentError):
             heuristic_steiner([[0.0, 0.0]])
+
+
+def _sequential_heuristic(points):
+    """Reference: the heuristic's per-vertex insertion scan, one point at a time.
+
+    Returns (edges, steiner, length_trace, converged) for n >= 3 points.
+    """
+    pts = np.asarray(points, dtype=float)
+    n, d = pts.shape
+    base = mst(pts)
+    scale = instance_scale(pts)
+    gain_tol = 1e-12 * scale
+    coords = np.vstack([pts, np.empty((n - 2, d))])
+    n_nodes = n
+    adj = [set() for _ in range(2 * n - 2)]
+    edges = set()
+
+    def _add(u, v):
+        edges.add((min(u, v), max(u, v)))
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def _drop(u, v):
+        edges.discard((min(u, v), max(u, v)))
+        adj[u].discard(v)
+        adj[v].discard(u)
+
+    for u, v in base.edges:
+        _add(u, v)
+    trace = [base.length]
+    converged = False
+    for _ in range(_MAX_ROUNDS):
+        inserted = 0
+        for v in range(n):
+            while len(adj[v]) >= 2:
+                nb = sorted(adj[v])
+                vec = coords[nb] - coords[v]
+                nrm = np.linalg.norm(vec, axis=1)
+                unit = vec / np.maximum(nrm, 1e-300)[:, None]
+                gram = unit @ unit.T
+                iu = np.triu_indices(len(nb), 1)
+                k = int(np.argmax(gram[iu]))
+                if gram[iu][k] <= _COS_GATE:
+                    break
+                ai, bi = nb[iu[0][k]], nb[iu[1][k]]
+                s = fermat_point_triples(coords[None, [ai, bi, v]])[0]
+                star = float(np.linalg.norm(coords[[ai, bi, v]] - s, axis=1).sum())
+                if nrm[iu[0][k]] + nrm[iu[1][k]] - star <= gain_tol:
+                    break
+                si = n_nodes
+                coords[si] = s
+                _drop(ai, v)
+                _drop(bi, v)
+                _add(ai, si)
+                _add(bi, si)
+                _add(v, si)
+                n_nodes += 1
+                inserted += 1
+        settled = True
+        if n_nodes > n:
+            nb = np.array([sorted(adj[i]) for i in range(n, n_nodes)], dtype=int)
+            settled = _gs_sweeps(coords[None], nb[None], n, 1e-9 * scale, _RELAX_SWEEPS) < _RELAX_SWEEPS
+        e = np.array(sorted(edges), dtype=int)
+        trace.append(float(np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1).sum()))
+        if inserted == 0 and settled:
+            converged = True
+            break
+    return tuple(sorted(edges)), coords[n:n_nodes].copy(), tuple(trace), converged
+
+
+def _scan_cases():
+    cases = {f"uniform{dim}d_{n}": random_instance(n, 100 * dim + n, dim=dim)
+             for dim in (2, 3, 4) for n in (3, 5, 9, 40, 150)}
+    cases["hex250"] = hex_lattice_instance(250)
+    g = np.arange(9.0)
+    cases["grid9"] = np.array([(x, y) for x in g for y in g])  # many exact ties
+    p = random_instance(50, 3)
+    cases["duplicates"] = np.vstack([p, p[:15], p[:4]])
+    cases["collinear"] = np.column_stack([np.arange(120.0), 2.0 * np.arange(120.0)])
+    cases["homothety"] = homothety_instance(6, 0.3, 2)
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
+class TestWavesMatchSequentialScan:
+    # heuristic_steiner batches each round's insertions into waves; the tree
+    # must be the one the point-by-point scan builds, bit for bit.
+    @pytest.mark.parametrize("name", sorted(SCAN_CASES))
+    def test_bit_identical_to_the_scan(self, name):
+        pts = SCAN_CASES[name]
+        tree = heuristic_steiner(pts)
+        edges, steiner, trace, converged = _sequential_heuristic(pts)
+        assert tree.topology.edges == edges
+        assert np.array_equal(tree.steiner, steiner)
+        assert tree.length_trace == trace
+        assert tree.converged == converged
 
 
 class TestFitPowerLaw:

@@ -57,6 +57,36 @@ class TestCanonicalJson:
         got = canonical_json({"v": np.array([[1.5, 2.0]])})
         assert got == b'{"v":[[1.5,2]]}'
 
+    @pytest.mark.parametrize(
+        "arr",
+        [
+            np.array([[-0.0, 0.0], [5e-324, -2.2250738585072e-308], [1e308, -1.0 / 3.0]]),
+            np.array([np.pi, np.inf, -0.0]),
+            np.array([[np.nan, 1.0], [-np.inf, 2.0]]),
+            np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]).reshape(1, 2, 3),
+            np.array([[3, -4], [0, 7]]),
+            np.arange(5, dtype=np.int32),
+            np.array([1.5, 2.25], dtype=np.float32),
+            np.empty((0, 2)),
+            np.empty((2, 0)),
+        ],
+    )
+    def test_array_fast_path_matches_the_recursion(self, arr):
+        # A nested list of NumPy scalars goes through the recursive renderer
+        # item by item; the array itself may take the row-wise fast path.
+        as_scalars = arr.tolist()
+        if arr.dtype.kind == "f":
+            as_scalars = np.vectorize(np.float64, otypes=[object])(arr).tolist()
+        assert canonical_json({"v": arr}) == canonical_json({"v": as_scalars})
+
+    def test_int_rows_fast_path_matches_the_recursion(self):
+        rows = [[0, 1], [1, -2], [3, 10**20], [], [4, 5, 6]]
+        slow = [[np.int64(v) if abs(v) < 2**62 else v for v in row] for row in rows]
+        assert canonical_json({"e": rows}) == canonical_json({"e": slow})
+        assert canonical_json([[1, 2], [3, 4]]) == b"[[1,2],[3,4]]"
+        assert canonical_json([[1, True], [2.5, 3]]) == b"[[1,true],[2.5,3]]"
+        assert canonical_json([(1, 2), [3, None]]) == b"[[1,2],[3,null]]"
+
     def test_unserializable_value_rejected(self):
         with pytest.raises(IoError):
             canonical_json({"x": object()})

@@ -23,6 +23,7 @@ from minnet.mdm import (
     stadium_competitor,
     verify_mdm,
 )
+from minnet import mdm
 from minnet.mdm import _closest_on_network, _gapped_parallel, _tangent_length
 from minnet.ratio import mst
 from minnet.steiner import instance_scale, solve_exact
@@ -315,6 +316,15 @@ class TestClosestOnNetwork:
     @pytest.mark.parametrize("name", sorted(CLOSEST_CASES))
     def test_bitwise_equal_to_dense_search(self, name):
         net, samples = CLOSEST_CASES[name]
+        d, p = _closest_on_network(net, samples)
+        d_ref, p_ref = _dense_closest(net, samples)
+        assert np.array_equal(d, d_ref)
+        assert np.array_equal(p, p_ref)
+
+    @pytest.mark.parametrize("name", ["tree2d", "uneven", "horseshoe"])
+    def test_small_sample_blocks_change_nothing(self, name, monkeypatch):
+        net, samples = CLOSEST_CASES[name]
+        monkeypatch.setattr(mdm, "_CLOSEST_BLOCK", 7)
         d, p = _closest_on_network(net, samples)
         d_ref, p_ref = _dense_closest(net, samples)
         assert np.array_equal(d, d_ref)
