@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from math import ceil
 
 import numpy as np
@@ -45,6 +46,7 @@ from .io import (
 )
 from .mdm import (
     GAP_EVALUATIONS,
+    _default_density,
     MdmError,
     MdmNetwork,
     NumericConfig,
@@ -128,15 +130,6 @@ def _load_instance(args, expect: str) -> InstanceFile:
     return inst
 
 
-def _tol_dict(tol: ToleranceConfig) -> dict:
-    return {
-        "eps_len": tol.eps_len,
-        "eps_angle": tol.eps_angle,
-        "eps_tie": tol.eps_tie,
-        "coverage_eps": tol.coverage_eps,
-    }
-
-
 def _emit_result(args, result: ResultFile) -> None:
     """Result JSON to --out (then length to stdout) or to stdout itself."""
     data = serialize_result(result).decode("utf-8") + "\n"
@@ -183,7 +176,7 @@ def _cmd_steiner_solve(args) -> int:
             "n_unconverged": res.n_unconverged,
             "n_pruned": res.n_pruned,
             "wall_time_s": wall,
-            "tolerances": _tol_dict(tol),
+            "tolerances": asdict(tol),
         },
     )
     _emit_result(args, result)
@@ -293,7 +286,7 @@ def _cmd_mdm_solve(args) -> int:
         out = solve_mdm_numeric(desc, r, init, config=cfg, tol=tol)
         net, covered = out.network, out.covered
         # The report judges coverage at the sampling the solver worked with.
-        gate_n = args.density or int(ceil(40.0 * desc.diameter() / r)) or 8
+        gate_n = args.density or _default_density(desc, r)
         solver = {
             "name": "numeric",
             "converged": out.covered,
@@ -302,7 +295,7 @@ def _cmd_mdm_solve(args) -> int:
             "max_defect": out.max_defect,
         }
     solver["wall_time_s"] = time.perf_counter() - t0
-    solver["tolerances"] = _tol_dict(tol)
+    solver["tolerances"] = asdict(tol)
     _emit_result(args, _mdm_result(inst, net, tol, solver, gate_n))
     if not covered:
         raise _Unconverged("coverage defect above tolerance; partial result written")
@@ -330,7 +323,7 @@ def _cmd_mdm_horseshoe(args) -> int:
         "name": "horseshoe",
         "iterations": GAP_EVALUATIONS,
         "wall_time_s": time.perf_counter() - t0,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
     }
     result = _mdm_result(inst, net, tol, solver)
     # The gap search always stops; what holds is the report's coverage.
@@ -354,12 +347,15 @@ def _cmd_mdm_competitor(args) -> int:
         raise _Unconverged(str(exc)) from None
     solver = {
         "name": "competitor",
-        "converged": True,
         "iterations": 0,
         "wall_time_s": time.perf_counter() - t0,
-        "tolerances": _tol_dict(tol),
+        "tolerances": asdict(tol),
     }
-    _emit_result(args, _mdm_result(inst, net, tol, solver))
+    result = _mdm_result(inst, net, tol, solver)
+    result.solver["converged"] = result.report["covered"]
+    _emit_result(args, result)
+    if not result.report["covered"]:
+        raise _Unconverged("coverage defect above tolerance; partial result written")
     return EXIT_OK
 
 
@@ -379,22 +375,7 @@ def _cmd_exp_run(args) -> int:
         rows = [{**row, "seed": row.get("seed", args.seed)} for row in rows]
     runs = run_suite(rows, csv_path=args.csv)
     if args.out:
-        payload = [
-            {
-                "instance_id": run.instance_id,
-                "generator": run.generator,
-                "seed": run.seed,
-                "N": run.N,
-                "d": run.d,
-                "solver": run.solver,
-                "length": run.length,
-                "normalized": run.normalized,
-                "wall_time_ms": run.wall_time_ms,
-                "norm_rule": run.norm_rule,
-                "error": run.error,
-            }
-            for run in runs
-        ]
+        payload = [asdict(run) for run in runs]
         _write_text(args.out, canonical_json(payload).decode("utf-8") + "\n")
     failed = sum(1 for run in runs if run.error)
     print(f"{len(runs)} runs, {failed} failed")

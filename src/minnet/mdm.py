@@ -32,7 +32,6 @@ from .geometry import (
     _closest_points,
     angle_at,
     fermat_point,
-    point_segment_distances,
 )
 from .steiner import (
     _contract,
@@ -88,6 +87,13 @@ _ENERGETIC_BAND = 1e-3
 # candidate pairs, so a block's arrays stay at a few hundred thousand pairs
 # however many samples there are.
 _CLOSEST_BLOCK = 4096
+
+# The penalty weight starts at _MU0 / diameter and grows by _MU_GROWTH per
+# epoch, in the numeric solver and in the stadium competitor alike.  The
+# numeric solver takes at most _ITERS_PER_EPOCH Armijo steps per epoch.
+_MU0 = 10.0
+_MU_GROWTH = 4.0
+_ITERS_PER_EPOCH = 150
 
 
 class MdmError(ValueError):
@@ -498,7 +504,7 @@ def _competitor_vertices(theta: np.ndarray) -> np.ndarray:
     )
 
 
-_COMPETITOR_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (5, 7)]
+_COMPETITOR_EDGES = np.array([(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (5, 7)])
 
 
 def _competitor_inits(R: float, r: float, L: float) -> list[np.ndarray]:
@@ -576,7 +582,7 @@ def stadium_competitor(
     h0 = 0.35 * max(r, 0.15 * diam)
     best_feasible: tuple[float, np.ndarray] | None = None
     for theta in _competitor_inits(R, r, L):
-        mu = 10.0 / diam
+        mu = _MU0 / diam
         for epoch in range(12):
             h = max(h0 * 0.72**epoch, 1e-7 * diam)
             cur_val = objective(theta, mu)
@@ -601,22 +607,22 @@ def stadium_competitor(
                 if moved <= 1e-9 * diam:
                     break
             V = _competitor_vertices(theta)
-            net = MdmNetwork(V, list(_COMPETITOR_EDGES))
+            net = MdmNetwork(V, _COMPETITOR_EDGES)
             # Only the shrunken radius held at every penalty sample certifies
             # the continuum; the gate check alone can miss narrow holes.
-            d_pen = _penalty_objective(V, _COMPETITOR_EDGES, samples, r_eff, mu)[1]
+            d_pen = _penalty_objective(V, _COMPETITOR_EDGES, samples, r_eff, mu)[1][0]
             if float(d_pen.max()) <= r_eff + 1e-7 * diam:
                 rep = coverage_check(net, gate, r, tol)
                 if rep.covered and (
                     best_feasible is None or net.length < best_feasible[0]
                 ):
                     best_feasible = (net.length, theta.copy())
-            mu *= 4.0
+            mu *= _MU_GROWTH
     if best_feasible is None:
         raise MdmError(
             f"stadium competitor failed to reach coverage for R={R}, r={r}, seg_len={L}"
         )
-    net = MdmNetwork(_competitor_vertices(best_feasible[1]), list(_COMPETITOR_EDGES))
+    net = MdmNetwork(_competitor_vertices(best_feasible[1]), _COMPETITOR_EDGES)
     return net, net.length
 
 
@@ -739,10 +745,7 @@ def solve_mdm_finite(
 @dataclass
 class NumericConfig:
     max_epochs: int = 12
-    iters_per_epoch: int = 150
     density: int | None = None
-    mu0: float | None = None
-    mu_growth: float = 4.0
 
 
 @dataclass
@@ -755,40 +758,52 @@ class NumericResult:
     epoch_marks: list[int] = field(default_factory=list)
 
 
-def _penalty_objective(V, E, samples, r, mu):
-    a = V[[e[0] for e in E]]
-    b = V[[e[1] for e in E]]
-    seg = a - b
-    length = float(np.linalg.norm(seg, axis=1).sum())
-    dmat = point_segment_distances(samples, a, b)
-    dmin = dmat.min(axis=1)
-    viol = np.maximum(dmin - r, 0.0)
-    return length + mu * float((viol * viol).sum()), dmin
+def _default_density(desc: CompactSetDescriptor, r: float) -> int:
+    """Boundary sample count the numeric solver uses when none is given:
+    40 samples per r of diameter, and 8 for a set of zero diameter."""
+    return int(ceil(40.0 * desc.diameter() / r)) or 8
 
 
-def _penalty_gradient(V, E, samples, r, mu):
-    g = np.zeros_like(V)
-    e0 = np.array([e[0] for e in E])
-    e1 = np.array([e[1] for e in E])
-    a, b = V[e0], V[e1]
-    seg = a - b
-    lens = np.linalg.norm(seg, axis=1)
-    u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
-    np.add.at(g, e0, u)
-    np.add.at(g, e1, -u)
-    t, closest = _closest_points(samples[:, None], a[None], b[None])
+def _nearest_edges(V, ends, samples):
+    """Each sample's nearest edge, from one dense (sample, edge) table.
+
+    Returns the distance, the first nearest edge, that edge's clipped
+    parameter ``t`` and the offset from its closest point to the sample.
+    The penalty objective, its gradient and topology surgery all read this
+    one table.
+    """
+    t, closest = _closest_points(samples[:, None], V[ends[:, 0]][None], V[ends[:, 1]][None])
     dvec = samples[:, None, :] - closest
     dist = np.linalg.norm(dvec, axis=2)
     j = np.argmin(dist, axis=1)
     s_idx = np.arange(len(samples))
-    dj = dist[s_idx, j]
+    return dist[s_idx, j], j, t[s_idx, j], dvec[s_idx, j]
+
+
+def _penalty_objective(V, ends, samples, r, mu):
+    """Length + mu * sum(max(0, dist - r)^2), and the nearest-edge table."""
+    table = _nearest_edges(V, ends, samples)
+    length = float(np.linalg.norm(V[ends[:, 0]] - V[ends[:, 1]], axis=1).sum())
+    viol = np.maximum(table[0] - r, 0.0)
+    return length + mu * float((viol * viol).sum()), table
+
+
+def _penalty_gradient(V, ends, table, r, mu):
+    """Gradient of the penalty objective at V, whose nearest-edge table is given."""
+    g = np.zeros_like(V)
+    e0, e1 = ends[:, 0], ends[:, 1]
+    seg = V[e0] - V[e1]
+    lens = np.linalg.norm(seg, axis=1)
+    u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
+    np.add.at(g, e0, u)
+    np.add.at(g, e1, -u)
+    dj, j, t, dvec = table
     active = dj > r
     if np.any(active):
-        s_act = s_idx[active]
         j_act = j[active]
-        w = dvec[s_act, j_act] / dj[active][:, None]
+        w = dvec[active] / dj[active][:, None]
         coef = 2.0 * mu * (dj[active] - r)
-        tj = t[s_act, j_act]
+        tj = t[active]
         np.add.at(g, e0[j_act], -coef[:, None] * (1.0 - tj)[:, None] * w)
         np.add.at(g, e1[j_act], -coef[:, None] * tj[:, None] * w)
     return g
@@ -802,16 +817,13 @@ def _adjacency(n_vertices: int, edges) -> dict[int, list[int]]:
     return adj
 
 
-def _topology_surgery(V, E, samples, r, tol, scale):
+def _topology_surgery(V, E, samples, r, tol, scale, table):
     """Between-epoch moves: split edges near violated samples, merge nearly
-    coincident vertices, break sharp degree-2 corners with a Fermat vertex."""
+    coincident vertices, break sharp degree-2 corners with a Fermat vertex.
+    ``table`` is the nearest-edge table of (V, E)."""
     V = V.copy()
     E = list(E)
-    a = V[[e[0] for e in E]]
-    b = V[[e[1] for e in E]]
-    dmat = point_segment_distances(samples, a, b)
-    dmin = dmat.min(axis=1)
-    nearest = dmat.argmin(axis=1)
+    dmin, nearest = table[0], table[1]
     split_done: set[int] = set()
     order = np.argsort(-dmin)
     for s in order:
@@ -875,18 +887,19 @@ def solve_mdm_numeric(
 
     Minimizes length + mu * sum(max(0, dist - r)^2) by Armijo gradient steps,
     escalating mu each epoch and applying topology surgery in between.  The
-    objective is non-increasing within an epoch.  If coverage is still not
-    met after the last epoch the best iterate is returned with
-    ``covered=False`` rather than raising.
+    objective is non-increasing within an epoch.  Each iterate's dense
+    sample-to-edge table is built once, by the objective: the accepted
+    Armijo trial's table feeds the next gradient and, at the end of an
+    epoch, the surgery.  If coverage is still not met after the last epoch
+    the best iterate is returned with ``covered=False`` rather than raising.
     """
     if r <= 0:
         raise MdmError(f"r must be positive, got {r}")
     cfg = config or NumericConfig()
     diam = max(desc.diameter(), 2.0 * r)
-    density = cfg.density or int(ceil(40.0 * desc.diameter() / r)) or 8
-    samples = sample_compact(desc, density)
+    samples = sample_compact(desc, cfg.density or _default_density(desc, r))
     scale = max(instance_scale(samples), r)
-    mu = cfg.mu0 or 10.0 / diam
+    mu = _MU0 / diam
     V = init.vertices.copy()
     E = list(init.edges)
     trace: list[float] = []
@@ -895,25 +908,24 @@ def solve_mdm_numeric(
     epochs_run = 0
     for epoch in range(cfg.max_epochs):
         epochs_run = epoch + 1
-        f, _ = _penalty_objective(V, E, samples, r, mu)
+        ends = np.asarray(E, dtype=np.int64).reshape(-1, 2)
+        f, table = _penalty_objective(V, ends, samples, r, mu)
         trace.append(f)
-        for _ in range(cfg.iters_per_epoch):
-            g = _penalty_gradient(V, E, samples, r, mu)
+        for _ in range(_ITERS_PER_EPOCH):
+            g = _penalty_gradient(V, ends, table, r, mu)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= 1e-12:
                 break
             s = step
-            accepted = False
             for _ in range(40):
-                f_new, _ = _penalty_objective(V - s * g, E, samples, r, mu)
+                trial = V - s * g
+                f_new, trial_table = _penalty_objective(trial, ends, samples, r, mu)
                 if f_new <= f - 1e-4 * s * gnorm * gnorm:
-                    accepted = True
                     break
                 s *= 0.5
-            if not accepted:
+            else:
                 break
-            V = V - s * g
-            f = f_new
+            V, f, table = trial, f_new, trial_table
             trace.append(f)
             step = min(s * 2.0, 0.1 * diam)
         marks.append(len(trace))
@@ -921,8 +933,8 @@ def solve_mdm_numeric(
         rep = coverage_check(net, samples, r, tol)
         if rep.covered:
             break
-        V, E = _topology_surgery(V, E, samples, r, tol, scale)
-        mu *= cfg.mu_growth
+        V, E = _topology_surgery(V, E, samples, r, tol, scale, table)
+        mu *= _MU_GROWTH
     net = MdmNetwork(V.copy(), list(E))
     rep = coverage_check(net, samples, r, tol)
     return NumericResult(

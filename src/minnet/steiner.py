@@ -694,16 +694,10 @@ def solve_exact(
     merge_tol = 1e-6 * scale if scale > 0 else 1e-12
     reps: list[int] = []
     rep_segs: list[list] = []
-    seen_keys: set[str] = set()
     for t in sorted(near, key=lambda t: (lengths[t], t)):
-        key = topologies[t].canonical_key()
-        if key in seen_keys:
-            continue
         segs = _nondegenerate_segments(X[t], topologies[t].edges, degen)
         if any(_same_embedding(segs, rs, merge_tol) for rs in rep_segs):
-            seen_keys.add(key)
             continue
-        seen_keys.add(key)
         reps.append(t)
         rep_segs.append(segs)
     cominimal = [topologies[t] for t in reps]

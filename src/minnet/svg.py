@@ -63,46 +63,33 @@ def render_svg(result: ResultFile, *, project: bool = False) -> str:
     # SVG's y axis points down; flip so the picture matches the coordinates.
     out.append('<g class="frame" transform="scale(1,-1)">')
 
-    def path(a: np.ndarray, b: np.ndarray) -> str:
-        return (
-            f"M {_fmt(a[0])} {_fmt(a[1])} L {_fmt(b[0])} {_fmt(b[1])}"
-        )
+    # Each coordinate and each constant attribute is formatted once.
+    xy = [(_fmt(x), _fmt(y)) for x, y in pts[:, :2].tolist()]
+    paths = [f"M {xy[i][0]} {xy[i][1]} L {xy[j][0]} {xy[j][1]}" for i, j in result.edges]
 
     if r_tube is not None:
-        for i, j in result.edges:
-            out.append(
-                f'<path class="tube" d="{path(pts[i], pts[j])}" fill="none" '
-                f'stroke="#9ecae1" stroke-width="{_fmt(2.0 * r_tube)}" '
-                f'stroke-linecap="round" stroke-dasharray="{_fmt(4 * stroke)} {_fmt(3 * stroke)}" '
-                'stroke-opacity="0.45"/>'
-            )
-
-    for i, j in result.edges:
-        out.append(
-            f'<path class="edge" d="{path(pts[i], pts[j])}" fill="none" '
-            f'stroke="#1f3552" stroke-width="{_fmt(stroke)}" stroke-linecap="round"/>'
+        tube = (
+            f'fill="none" stroke="#9ecae1" stroke-width="{_fmt(2.0 * r_tube)}" '
+            f'stroke-linecap="round" stroke-dasharray="{_fmt(4 * stroke)} {_fmt(3 * stroke)}" '
+            'stroke-opacity="0.45"'
         )
+        out.extend(f'<path class="tube" d="{d}" {tube}/>' for d in paths)
+
+    edge = f'fill="none" stroke="#1f3552" stroke-width="{_fmt(stroke)}" stroke-linecap="round"'
+    out.extend(f'<path class="edge" d="{d}" {edge}/>' for d in paths)
 
     n_term = result.n_terminals if result.n_terminals is not None else len(pts)
-    for k in range(len(pts)):
-        p = pts[k]
-        if k < n_term:
-            out.append(
-                f'<circle class="terminal" cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" '
-                f'r="{_fmt(r_dot)}" fill="#d1495b"/>'
-            )
-        else:
-            out.append(
-                f'<circle class="branch" cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" '
-                f'r="{_fmt(r_branch)}" fill="#30638e"/>'
-            )
+    dots = (
+        ("terminal", f'r="{_fmt(r_dot)}" fill="#d1495b"'),
+        ("branch", f'r="{_fmt(r_branch)}" fill="#30638e"'),
+    )
+    for k, (x, y) in enumerate(xy):
+        kind, attrs = dots[k >= n_term]
+        out.append(f'<circle class="{kind}" cx="{x}" cy="{y}" {attrs}/>')
 
+    marker = f'r="{_fmt(1.6 * r_dot)}" fill="none" stroke="#e8a13c" stroke-width="{_fmt(0.8 * stroke)}"'
     for q in result.report.get("energetic", []):
-        out.append(
-            f'<circle class="energetic" cx="{_fmt(q[0])}" cy="{_fmt(q[1])}" '
-            f'r="{_fmt(1.6 * r_dot)}" fill="none" stroke="#e8a13c" '
-            f'stroke-width="{_fmt(0.8 * stroke)}"/>'
-        )
+        out.append(f'<circle class="energetic" cx="{_fmt(q[0])}" cy="{_fmt(q[1])}" {marker}/>')
 
     out.append("</g>")
     out.append("</svg>")

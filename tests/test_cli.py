@@ -303,6 +303,25 @@ class TestMdmCommands:
         assert res.solver["name"] == "competitor"
         assert res.report["covered"] is True
 
+    def test_competitor_reports_coverage_and_exits_4_when_uncovered(self, tmp_path, capsys, monkeypatch):
+        from minnet.mdm import horseshoe_circle
+
+        inst = _write(tmp_path, "c6.json", MDM_CIRCLE6)
+        out = str(tmp_path / "r.json")
+        argv = ["mdm", "competitor", "--in", inst, "--out", out]
+        net, length = horseshoe_circle(6.0, 1.0)
+        monkeypatch.setattr("minnet.cli.stadium_competitor", lambda *a, **k: (net, length))
+        assert cli_dispatch(argv) == EXIT_OK
+        capsys.readouterr()
+        assert parse_result(open(out, "rb").read()).solver["converged"] is True
+        stub = MdmNetwork(np.array([[0.0, 0.0], [1.0, 0.0]]), [(0, 1)])
+        monkeypatch.setattr("minnet.cli.stadium_competitor", lambda *a, **k: (stub, stub.length))
+        assert cli_dispatch(argv) == EXIT_UNCONVERGED
+        res = parse_result(open(out, "rb").read())
+        assert res.solver["converged"] is False
+        assert res.report["covered"] is False
+        assert "partial result written" in _err_line(capsys)
+
     def test_competitor_requires_R_above_r(self, tmp_path, capsys):
         inst = _write(tmp_path, "c.json", dict(MDM_CIRCLE6, r=7.0))
         assert cli_dispatch(["mdm", "competitor", "--in", inst]) == EXIT_INVALID

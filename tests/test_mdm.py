@@ -424,6 +424,92 @@ class TestSolveMdmFinite:
         assert rep.bound_ok and not rep.has_cycle
 
 
+def _dense_objective(V, E, samples, r, mu):
+    """The penalty objective from the dense distance matrix."""
+    a = V[[e[0] for e in E]]
+    b = V[[e[1] for e in E]]
+    length = float(np.linalg.norm(a - b, axis=1).sum())
+    dmin = point_segment_distances(samples, a, b).min(axis=1)
+    viol = np.maximum(dmin - r, 0.0)
+    return length + mu * float((viol * viol).sum()), dmin
+
+
+def _dense_gradient(V, E, samples, r, mu):
+    """The penalty gradient from its own dense closest-point table."""
+    g = np.zeros_like(V)
+    e0 = np.array([e[0] for e in E])
+    e1 = np.array([e[1] for e in E])
+    a, b = V[e0], V[e1]
+    seg = a - b
+    lens = np.linalg.norm(seg, axis=1)
+    u = seg / np.where(lens == 0.0, 1.0, lens)[:, None]
+    np.add.at(g, e0, u)
+    np.add.at(g, e1, -u)
+    t, closest = _closest_points(samples[:, None], a[None], b[None])
+    dvec = samples[:, None, :] - closest
+    dist = np.linalg.norm(dvec, axis=2)
+    j = np.argmin(dist, axis=1)
+    s_idx = np.arange(len(samples))
+    dj = dist[s_idx, j]
+    active = dj > r
+    s_act, j_act = s_idx[active], j[active]
+    w = dvec[s_act, j_act] / dj[active][:, None]
+    coef = 2.0 * mu * (dj[active] - r)
+    tj = t[s_act, j_act]
+    np.add.at(g, e0[j_act], -coef[:, None] * (1.0 - tj)[:, None] * w)
+    np.add.at(g, e1[j_act], -coef[:, None] * tj[:, None] * w)
+    return g
+
+
+def _penalty_cases():
+    rng = np.random.default_rng(44)
+    cases = []
+    for d in (2, 3):
+        V = rng.uniform(-3.0, 3.0, size=(12, d))
+        V[11] = V[4]  # edge (4, 11) has zero length
+        E = [(i, int(rng.integers(0, i))) for i in range(1, 11)] + [(4, 11)]
+        samples = rng.uniform(-5.0, 5.0, size=(200, d))
+        cases.append((V, E, samples, 1.0))
+    # The origin sits at distance 1 from both edges; the first listed wins.
+    V = np.array([[-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    samples = np.array([[0.0, 0.0], [0.0, 3.0], [2.0, -2.0]])
+    cases.append((V, [(2, 3), (0, 1)], samples, 0.5))
+    # Every sample covered: only the length term is left.
+    cases.append((V, [(0, 1), (1, 3), (3, 2)], samples, 10.0))
+    return cases
+
+
+class TestPenaltyTable:
+    """One nearest-edge table feeds the objective, gradient and surgery."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_objective_and_gradient_match_dense_formulas(self, case):
+        V, E, samples, r = _penalty_cases()[case]
+        ends = np.array(E)
+        mu = 3.7
+        f, table = mdm._penalty_objective(V, ends, samples, r, mu)
+        f_ref, dmin = _dense_objective(V, E, samples, r, mu)
+        assert f == f_ref
+        assert np.array_equal(table[0], dmin)
+        g = mdm._penalty_gradient(V, ends, table, r, mu)
+        assert np.array_equal(g, _dense_gradient(V, E, samples, r, mu))
+
+    def test_first_of_equidistant_edges_wins(self):
+        V, E, samples, r = _penalty_cases()[2]
+        dist, j, t, dvec = mdm._nearest_edges(V, np.array(E), samples)
+        assert dist[0] == 1.0 and j[0] == 0 and t[0] == 0.5
+        assert np.array_equal(dvec[0], [0.0, 1.0])
+
+    def test_no_active_sample_leaves_length_gradient(self):
+        V, E, samples, r = _penalty_cases()[3]
+        ends = np.array(E)
+        f, table = mdm._penalty_objective(V, ends, samples, r, 5.0)
+        assert (table[0] <= r).all()
+        assert f == float(np.linalg.norm(V[ends[:, 0]] - V[ends[:, 1]], axis=1).sum())
+        g0 = mdm._penalty_gradient(V, ends, table, r, 0.0)
+        assert np.array_equal(mdm._penalty_gradient(V, ends, table, r, 5.0), g0)
+
+
 class TestSolveMdmNumeric:
     def test_recovers_horseshoe_from_perturbed_start(self):
         R = 3.0

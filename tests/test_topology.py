@@ -85,7 +85,7 @@ class TestStructure:
             assert len(topo.edges) == 2 * n - 3
 
     def test_keys_are_distinct(self):
-        for n in (3, 4, 5, 6):
+        for n in (3, 4, 5, 6, 7, 8):
             topos = enumerate_full_topologies(n)
             keys = {canonical_key(t) for t in topos}
             assert len(keys) == len(topos)
