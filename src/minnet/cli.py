@@ -270,36 +270,44 @@ def _mdm_result(
     )
 
 
+def _finish_mdm(
+    args, inst, net: MdmNetwork, tol: ToleranceConfig, solver: dict, t0: float, gate_n: int | None = None
+) -> int:
+    """Write an mdm subcommand's result; exit 4 when the report finds a hole.
+
+    Whatever the solver's stopping rule, ``converged`` is the report's
+    coverage verdict.
+    """
+    solver["wall_time_s"] = time.perf_counter() - t0
+    solver["tolerances"] = asdict(tol)
+    result = _mdm_result(inst, net, tol, solver, gate_n)
+    result.solver["converged"] = result.report["covered"]
+    _emit_result(args, result)
+    if not result.report["covered"]:
+        raise _Unconverged("coverage defect above tolerance; partial result written")
+    return EXIT_OK
+
+
 def _cmd_mdm_solve(args) -> int:
     tol = _tolerance(args)
     inst = _load_instance(args, "mdm")
     desc, r = inst.descriptor, inst.r
     t0 = time.perf_counter()
-    gate_n = None
     if desc.kind == "points":
         net = solve_mdm_finite(desc.pts, r, tol)
-        solver = {"name": "finite", "converged": True, "iterations": 0}
-        covered = True
-    else:
-        init = _initial_network(desc, r, args.seed)
-        cfg = NumericConfig(density=args.density) if args.density else None
-        out = solve_mdm_numeric(desc, r, init, config=cfg, tol=tol)
-        net, covered = out.network, out.covered
-        # The report judges coverage at the sampling the solver worked with.
-        gate_n = args.density or _default_density(desc, r)
-        solver = {
-            "name": "numeric",
-            "converged": out.covered,
-            "iterations": len(out.objective_trace),
-            "epochs": out.epochs,
-            "max_defect": out.max_defect,
-        }
-    solver["wall_time_s"] = time.perf_counter() - t0
-    solver["tolerances"] = asdict(tol)
-    _emit_result(args, _mdm_result(inst, net, tol, solver, gate_n))
-    if not covered:
-        raise _Unconverged("coverage defect above tolerance; partial result written")
-    return EXIT_OK
+        return _finish_mdm(args, inst, net, tol, {"name": "finite"}, t0)
+    init = _initial_network(desc, r, args.seed)
+    cfg = NumericConfig(density=args.density) if args.density else None
+    out = solve_mdm_numeric(desc, r, init, config=cfg, tol=tol)
+    solver = {
+        "name": "numeric",
+        "iterations": len(out.objective_trace),
+        "epochs": out.epochs,
+        "max_defect": out.max_defect,
+    }
+    # The report judges coverage at the sampling the solver worked with.
+    gate_n = args.density or _default_density(desc, r)
+    return _finish_mdm(args, inst, out.network, tol, solver, t0, gate_n)
 
 
 def _require_round_boundary(inst) -> tuple[float, float, float]:
@@ -319,19 +327,7 @@ def _cmd_mdm_horseshoe(args) -> int:
     R, r, L = _require_round_boundary(inst)
     t0 = time.perf_counter()
     net, _ = horseshoe_stadium(R, r, L, tol) if L > 0 else horseshoe_circle(R, r, tol)
-    solver = {
-        "name": "horseshoe",
-        "iterations": GAP_EVALUATIONS,
-        "wall_time_s": time.perf_counter() - t0,
-        "tolerances": asdict(tol),
-    }
-    result = _mdm_result(inst, net, tol, solver)
-    # The gap search always stops; what holds is the report's coverage.
-    result.solver["converged"] = result.report["covered"]
-    _emit_result(args, result)
-    if not result.report["covered"]:
-        raise _Unconverged("coverage defect above tolerance; partial result written")
-    return EXIT_OK
+    return _finish_mdm(args, inst, net, tol, {"name": "horseshoe", "iterations": GAP_EVALUATIONS}, t0)
 
 
 def _cmd_mdm_competitor(args) -> int:
@@ -345,18 +341,7 @@ def _cmd_mdm_competitor(args) -> int:
         net, _ = stadium_competitor(R, r, L, tol)
     except MdmError as exc:
         raise _Unconverged(str(exc)) from None
-    solver = {
-        "name": "competitor",
-        "iterations": 0,
-        "wall_time_s": time.perf_counter() - t0,
-        "tolerances": asdict(tol),
-    }
-    result = _mdm_result(inst, net, tol, solver)
-    result.solver["converged"] = result.report["covered"]
-    _emit_result(args, result)
-    if not result.report["covered"]:
-        raise _Unconverged("coverage defect above tolerance; partial result written")
-    return EXIT_OK
+    return _finish_mdm(args, inst, net, tol, {"name": "competitor"}, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -97,14 +97,13 @@ def angle_at(v, a, b) -> float:
     return float(2.0 * np.arctan2(np.linalg.norm(x - y), np.linalg.norm(x + y)))
 
 
-def fermat_point(a, b, c, tol: ToleranceConfig = DEFAULT_TOL, max_iters: int = 20000) -> np.ndarray:
+def fermat_point(a, b, c) -> np.ndarray:
     """Point minimizing ``|x-a| + |x-b| + |x-c|``.
 
     If one triangle angle is at least 2*pi/3 the minimizer is that vertex;
     otherwise it is the interior point seeing all three sides under 2*pi/3.
     Validates the three points and evaluates the closed form of
-    :func:`fermat_point_triples`; ``tol`` and ``max_iters`` are accepted for
-    compatibility and have no effect.
+    :func:`fermat_point_triples`.
     """
     pts = [as_point(p) for p in (a, b, c)]
     if not pts[0].shape == pts[1].shape == pts[2].shape:

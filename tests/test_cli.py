@@ -260,6 +260,20 @@ class TestMdmCommands:
         assert res.solver["name"] == "numeric"
         assert 0 < res.length < 2.0 * math.pi * 1.2
 
+    def test_one_point_samples_solve(self, tmp_path, capsys):
+        inst = _write(
+            tmp_path,
+            "one.json",
+            dict(MDM_CIRCLE6, descriptor={"kind": "samples", "points": [[0.5, 0.5]]}),
+        )
+        out = str(tmp_path / "r.json")
+        assert cli_dispatch(["mdm", "solve", "--in", inst, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        res = parse_result(open(out, "rb").read())
+        assert res.length == 0.0
+        assert res.report["covered"] is True
+        assert res.solver["converged"] is True
+
     def test_unconverged_numeric_writes_partial_and_exits_4(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -445,6 +459,19 @@ def _assert_documented_exit(proc):
     if proc.returncode != EXIT_OK:
         lines = [l for l in proc.stderr.splitlines() if l]
         assert len(lines) == 1 and lines[0].startswith("minnet: error: ")
+
+
+class TestImportFootprint:
+    def test_import_leaves_scipy_optimize_out(self):
+        # scipy.optimize loads only inside the stadium competitor, so plain
+        # imports stay quick and small.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, minnet, minnet.cli; print('scipy.optimize' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestDegenerateInputs:

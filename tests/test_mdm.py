@@ -347,6 +347,27 @@ class TestStadiumCompetitor:
         assert comp >= hs - 1e-6
 
 
+class TestCompetitorPenalty:
+    def test_theta_gradient_matches_central_differences(self):
+        R, r, L = 1.5, 1.0, 2.0
+        desc = CompactSetDescriptor.stadium(R, L)
+        samples = sample_compact(desc, 800)
+        rng = np.random.default_rng(3)
+        theta = mdm._competitor_inits(R, r, L)[0] + 0.05 * r * rng.normal(size=8)
+        mu = mdm._MU0 / desc.diameter()
+        f, g = mdm._competitor_penalty(theta, samples, r, mu)
+        V = mdm._competitor_vertices(theta)
+        dist = mdm._penalty_objective(V, mdm._COMPETITOR_EDGES, samples, r, mu)[1][0]
+        assert (dist > r).any()
+        h = 1e-6
+        fd = [
+            (mdm._competitor_penalty(theta + h * e, samples, r, mu)[0]
+             - mdm._competitor_penalty(theta - h * e, samples, r, mu)[0]) / (2.0 * h)
+            for e in np.eye(8)
+        ]
+        np.testing.assert_allclose(g, fd, rtol=1e-6)
+
+
 class TestSolveMdmFinite:
     def test_two_far_points_leave_a_segment(self):
         net = solve_mdm_finite(np.array([[0.0, 0.0], [5.0, 0.0]]), 1.0, TOL)
@@ -557,6 +578,15 @@ class TestSolveMdmNumeric:
         )
         assert res.covered
         assert abs(res.network.length - fin.length) <= 0.01 * fin.length
+
+
+    def test_edgeless_network_returns_with_its_verdict(self):
+        desc = CompactSetDescriptor.samples([[0.5, 0.5]])
+        init = MdmNetwork(np.array([[0.5, 0.5]]), [])
+        res = solve_mdm_numeric(desc, 1.0, init, NumericConfig(), TOL)
+        assert res.covered
+        assert res.network.length == 0.0
+        assert res.epochs == 0
 
 
 class TestEnergeticPoints:
