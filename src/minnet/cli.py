@@ -326,7 +326,7 @@ def _cmd_mdm_horseshoe(args) -> int:
     inst = _load_instance(args, "mdm")
     R, r, L = _require_round_boundary(inst)
     t0 = time.perf_counter()
-    net, _ = horseshoe_stadium(R, r, L, tol) if L > 0 else horseshoe_circle(R, r, tol)
+    net, _ = horseshoe_stadium(R, r, L) if L > 0 else horseshoe_circle(R, r)
     return _finish_mdm(args, inst, net, tol, {"name": "horseshoe", "iterations": GAP_EVALUATIONS}, t0)
 
 

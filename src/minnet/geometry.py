@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _COS_120 = -0.5  # cos(2*pi/3); a vertex with angle >= 2*pi/3 absorbs the Fermat point
+_SQRT3_2 = np.sqrt(3.0) / 2.0
 
 
 class GeometryError(ValueError):
@@ -125,81 +126,55 @@ def fermat_point_triples(triples: np.ndarray) -> np.ndarray:
     if P.ndim != 3 or P.shape[1] != 3:
         raise GeometryError(f"expected shape (B, 3, d), got {P.shape}")
     A, B, C = P[:, 0], P[:, 1], P[:, 2]
-    out = np.empty_like(A)
-
     ab = B - A
     ac = C - A
     bc = C - B
     dab = np.linalg.norm(ab, axis=1)
     dac = np.linalg.norm(ac, axis=1)
     dbc = np.linalg.norm(bc, axis=1)
-    scale = np.maximum(np.maximum(dab, dac), dbc)
+    tiny = 1e-14 * np.maximum(np.maximum(dab, dac), dbc)
 
-    done = np.zeros(len(P), dtype=bool)
-
-    all_same = scale == 0.0
-    out[all_same] = A[all_same]
-    done |= all_same
-
-    tiny = 1e-14 * np.where(scale == 0.0, 1.0, scale)
-    for mask_d, val in ((dab <= tiny, A), (dac <= tiny, A), (dbc <= tiny, B)):
-        m = mask_d & ~done
-        out[m] = val[m]
-        done |= m
-
-    # Vertex cases: dot products against cos(2*pi/3), no acos required.
+    # Vertex cases in precedence order: a side of (relative) length 0 puts
+    # the minimizer on its endpoint, then an angle >= 2*pi/3 at A, B or C,
+    # tested by dot products against cos(2*pi/3), no acos required.  Every
+    # row also takes the interior construction below; np.where keeps the
+    # vertex where one applies, so no row is gathered or scattered.
     with np.errstate(invalid="ignore", divide="ignore"):
         cos_a = np.einsum("ij,ij->i", ab, ac) / (dab * dac)
         cos_b = -np.einsum("ij,ij->i", ab, bc) / (dab * dbc)
         cos_c = np.einsum("ij,ij->i", ac, bc) / (dac * dbc)
-    for cos_v, val in ((cos_a, A), (cos_b, B), (cos_c, C)):
-        m = (cos_v <= _COS_120) & ~done
-        out[m] = val[m]
-        done |= m
+        at_a = (dab <= tiny) | (dac <= tiny) | ((dbc > tiny) & (cos_a <= _COS_120))
+        at_b = ~at_a & ((dbc <= tiny) | (cos_b <= _COS_120))
+        at_c = ~at_a & ~at_b & (cos_c <= _COS_120)
 
-    idx = np.flatnonzero(~done)
-    if idx.size == 0:
-        return out
+        # 2-d coordinates in the triangle's own plane: A = (0, 0),
+        # B = (dab, 0), C = (cx, cy) with cy >= 0.
+        e1 = ab / dab[:, None]
+        cx = np.einsum("ij,ij->i", ac, e1)
+        h = ac - cx[:, None] * e1
+        cy = np.linalg.norm(h, axis=1)
+        # Collinearity implies a straight angle, which the vertex cases
+        # absorb; guard the division regardless.
+        e2 = h / np.where(cy == 0.0, 1.0, cy)[:, None]
 
-    a3, b3, c3 = A[idx], B[idx], C[idx]
-    e1 = (b3 - a3) / dab[idx, None]
-    w = c3 - a3
-    comp1 = np.einsum("ij,ij->i", w, e1)
-    h = w - comp1[:, None] * e1
-    hn = np.linalg.norm(h, axis=1)
-    # Collinearity implies a straight angle, which the vertex cases absorb;
-    # anything left here has hn > 0, but guard the division regardless.
-    hn = np.where(hn == 0.0, 1.0, hn)
-    e2 = h / hn[:, None]
+        # d1 runs from A to the apex of the equilateral triangle erected on
+        # BC away from A, d2 from B to the one on AC away from B; the Fermat
+        # point is where the two lines meet, F = A + t * d1.
+        px, py = -cy, cx - dab
+        mx, my = 0.5 * (dab + cx), 0.5 * cy
+        s = np.where(px * mx + py * my < 0.0, -_SQRT3_2, _SQRT3_2)
+        d1x, d1y = mx + s * px, my + s * py
+        qx, qy = -cy, cx
+        nx, ny = 0.5 * cx, 0.5 * cy
+        s = np.where(qx * (dab - nx) - qy * ny > 0.0, -_SQRT3_2, _SQRT3_2)
+        d2x, d2y = nx + s * qx - dab, ny + s * qy
+        det = d1x * d2y - d1y * d2x
+        t = dab * d2y / np.where(det == 0.0, 1.0, det)
+        inner = A + (t * d1x)[:, None] * e1 + (t * d1y)[:, None] * e2
 
-    # 2-d coordinates in the triangle's own plane.
-    a2 = np.zeros((len(idx), 2))
-    b2 = np.stack([dab[idx], np.zeros(len(idx))], axis=1)
-    c2 = np.stack([comp1, np.linalg.norm(h, axis=1)], axis=1)
-
-    sqrt3_2 = np.sqrt(3.0) / 2.0
-
-    def _apex(p, q, opposite):
-        mid = 0.5 * (p + q)
-        seg = q - p
-        perp = np.stack([-seg[:, 1], seg[:, 0]], axis=1)
-        side = np.einsum("ij,ij->i", perp, opposite - mid)
-        sign = np.where(side > 0.0, -1.0, 1.0)
-        return mid + sign[:, None] * sqrt3_2 * perp
-
-    apex_a = _apex(b2, c2, a2)  # equilateral on BC, opposite A
-    apex_b = _apex(a2, c2, b2)  # equilateral on AC, opposite B
-
-    d1 = apex_a - a2
-    d2 = apex_b - b2
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    det = np.where(det == 0.0, 1.0, det)
-    rhs = b2 - a2
-    t = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
-    f2 = a2 + t[:, None] * d1
-
-    out[idx] = a3 + f2[:, 0, None] * e1 + f2[:, 1, None] * e2
-    return out
+    vertex = at_a | at_b | at_c
+    pick = P[np.arange(len(P)), at_b + 2 * at_c]
+    return np.where(vertex[:, None], pick, inner)
 
 
 def dist_point_to_segment(p, s0, s1) -> float:

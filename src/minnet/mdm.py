@@ -474,20 +474,15 @@ def _horseshoe_family(R: float, r: float, L: float) -> tuple[MdmNetwork, float]:
     return net, net.length
 
 
-def horseshoe_circle(
-    R: float, r: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[MdmNetwork, float]:
+def horseshoe_circle(R: float, r: float) -> tuple[MdmNetwork, float]:
     """Minimal member of the arc-plus-tangent-segments family covering the
-    circle of radius R with r-balls.  ``tol`` has no effect."""
+    circle of radius R with r-balls."""
     return _horseshoe_family(float(R), float(r), 0.0)
 
 
-def horseshoe_stadium(
-    R: float, r: float, seg_len: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> tuple[MdmNetwork, float]:
+def horseshoe_stadium(R: float, r: float, seg_len: float) -> tuple[MdmNetwork, float]:
     """Parallel-curve horseshoe for the stadium boundary (R-neighborhood of a
-    segment of length seg_len); seg_len=0 degenerates to the circle case.
-    ``tol`` has no effect."""
+    segment of length seg_len); seg_len=0 degenerates to the circle case."""
     if seg_len < 0:
         raise MdmError(f"seg_len must be >= 0, got {seg_len}")
     return _horseshoe_family(float(R), float(r), float(seg_len))

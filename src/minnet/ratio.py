@@ -46,14 +46,19 @@ def mst(points) -> MstResult:
     be closer than |uv| to both u and v, so it would give a shorter cut edge
     on either side of the cut.  So uv is an edge of every Delaunay
     triangulation, and Prim picks the same vertex and source as over all
-    pairs.  Duplicates join their first copy by zero-length edges.  When
-    Qhull rejects a set whose lexicographic order is monotone in every
+    pairs.  Duplicates join their first copy by zero-length edges.  A 3-d
+    set that Qhull rejects or only partly triangulates, but that lies in a
+    plane up to rounding (every point within 1e-12 of the set's extent of
+    its least-squares plane), takes the Delaunay edges of its coordinates
+    in an orthonormal basis of that plane: the argument above holds inside
+    the plane, and the distances stay the 3-d ones.  When Qhull cannot
+    triangulate a set whose lexicographic order is monotone in every
     coordinate, as in every exactly collinear set, the candidates are
     consecutive points of that order: for i < j < k, each coordinate of
     p_j - p_i is at most that of p_k - p_i in size, and smaller in one, so
     a shortest cut edge never skips a point.  Other dimensions, and other
-    sets Qhull cannot triangulate (too few distinct points, coplanar), take
-    all pairs as candidates.
+    sets Qhull cannot triangulate (too few distinct points), take all pairs
+    as candidates.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -99,17 +104,18 @@ def _candidate_rows(pts: np.ndarray):
     uniq, first, inverse = np.unique(pts, axis=0, return_index=True, return_inverse=True)
     if len(uniq) <= d + 1:
         return None
-    try:
-        tri = Delaunay(uniq)
-        if len(tri.coplanar):  # points Qhull left out of the triangulation
-            return None
-        a, b = np.triu_indices(d + 1, 1)
-        u, w = tri.simplices[:, a].ravel(), tri.simplices[:, b].ravel()
-    except QhullError:
+    pairs = _delaunay_pairs(uniq)
+    if pairs is None and d == 3:  # a plane's points, in an orthonormal basis of it
+        centred = uniq - uniq.mean(axis=0)
+        basis = np.linalg.svd(centred, full_matrices=False)[2]
+        if np.abs(centred @ basis[2]).max() <= 1e-12 * np.linalg.norm(centred, axis=1).max():
+            pairs = _delaunay_pairs(centred @ basis[:2].T)
+    if pairs is None:
         step = np.diff(uniq, axis=0)  # np.unique sorts lexicographically
         if not np.all((step >= 0.0).all(axis=0) | (step <= 0.0).all(axis=0)):
             return None
-        u, w = np.arange(len(uniq) - 1), np.arange(1, len(uniq))
+        pairs = np.arange(len(uniq) - 1), np.arange(1, len(uniq))
+    u, w = pairs
     rep = first[inverse.reshape(-1)]
     dup = np.flatnonzero(rep != np.arange(n))
     u = np.concatenate([first[u], rep[dup]])
@@ -118,6 +124,18 @@ def _candidate_rows(pts: np.ndarray):
     dist = np.linalg.norm(pts[nbr] - pts[src], axis=1)
     ptr = np.searchsorted(src, np.arange(n + 1))
     return lambda v: (nbr[ptr[v] : ptr[v + 1]], dist[ptr[v] : ptr[v + 1]])
+
+
+def _delaunay_pairs(pts: np.ndarray):
+    """Edge ends (u, w) of a Delaunay triangulation, or None if Qhull fails or drops points."""
+    try:
+        tri = Delaunay(pts)
+    except QhullError:
+        return None
+    if len(tri.coplanar):
+        return None
+    a, b = np.triu_indices(pts.shape[1] + 1, 1)
+    return tri.simplices[:, a].ravel(), tri.simplices[:, b].ravel()
 
 
 def steiner_ratio(points, tol: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -4,7 +4,8 @@ The geometric optimum for a *fixed* topology is found by block-coordinate
 descent: each branch node moves to the exact Fermat point of its three
 current neighbors (closed form, so degenerate collapses land exactly on a
 vertex).  :func:`_gs_sweeps` moves each of two colour classes of branch
-nodes with one batched kernel call, which is node-by-node Gauss-Seidel.
+nodes with one batched kernel call, which is node-by-node Gauss-Seidel, and
+recomputes only nodes with a neighbour that moved since their last update.
 Total length is convex in the branch coordinates, and each node update is
 the exact block minimizer, so the sweep never increases length.  The exact
 solver, the heuristic and ``mdm.solve_mdm_finite`` all relax through it.
@@ -257,6 +258,18 @@ def _gs_sweeps(
     Gauss-Seidel: each node lands on the exact minimizer of its three edges
     with its neighbours fixed, and length never increases.
 
+    Only nodes that can move are recomputed.  A node is *stirred* when it
+    moved by more than ``move_target`` at its last update and its
+    neighbours have not been redone since.  The first sweep recomputes
+    every branch node; after it, a class pass recomputes only the nodes
+    with a stirred neighbour, then clears the other class's flags (it has
+    just read them) and flags its own nodes that moved.  A class with no
+    such node makes no kernel call.  Skipping is exact for the iteration:
+    the kernel is closed-form and works row by row, so a node whose three
+    neighbours stood still gets its own coordinates back bit for bit.  With
+    ``move_target`` 0 the sweeps equal full sweeps exactly; otherwise the
+    embedding differs from theirs by about ``move_target``.
+
     A topology leaves the batch after its first sweep that moves no node by
     more than ``move_target``, so its embedding does not depend on how
     slowly the others settle.  Given ``certify = (pruned, degen, eps_tie)``
@@ -268,11 +281,13 @@ def _gs_sweeps(
     fixed terminals but leaves free in the balls B(centers[i], radii[i]):
     each sweep starts by moving every leaf to the point of its ball nearest
     its one neighbour ``leaf_nbr[t, i]``, the exact block minimizer for a
-    leaf, and those moves count toward retirement like the others.
+    leaf.  Those moves count toward retirement like the others, and a leaf
+    is stirred by its own move in each sweep.
     """
     act = np.arange(len(nb))
     colour = _colour_classes(nb, n)
     Xa, nba = X, nb
+    stirred = np.zeros((len(nb), X.shape[1]), dtype=bool)
     if certify is not None:
         pruned, degen, eps_tie = certify
         best = _total_lengths(X, edg)
@@ -284,20 +299,28 @@ def _gs_sweeps(
         if classes is None:  # (row, column, neighbours) of each colour class
             split = [np.nonzero(colour[act] == c) for c in (False, True)]
             classes = [(rows, n + i, nba[rows, i]) for rows, i in split if len(rows)]
-        move = np.zeros(len(act))
+        keep = np.zeros(len(act), dtype=bool)
         if balls is not None:
             v = Xa[np.arange(len(act))[:, None], leaf_nbr[act]] - centers
             dist = np.linalg.norm(v, axis=2)
             reach = np.minimum(dist, radii) / np.where(dist == 0.0, 1.0, dist)
             new = centers + reach[..., None] * v
-            move = np.linalg.norm(new - Xa[:, :n], axis=2).max(axis=1)
+            stirred[:, :n] = np.linalg.norm(new - Xa[:, :n], axis=2) > move_target
+            keep = stirred[:, :n].any(axis=1)
             Xa[:, :n] = new
         for rows, cols, nbrs in classes:
+            if sweeps:
+                due = stirred[rows[:, None], nbrs].any(axis=1)
+                rows, cols, nbrs = rows[due], cols[due], nbrs[due]
+                stirred[:, n:] = False
+                if not len(rows):
+                    continue
             new = fermat_point_triples(Xa[rows[:, None], nbrs])
-            np.maximum.at(move, rows, np.linalg.norm(new - Xa[rows, cols], axis=1))
+            moved = np.linalg.norm(new - Xa[rows, cols], axis=1) > move_target
             Xa[rows, cols] = new
+            stirred[rows, cols] = moved
+            keep[rows[moved]] = True
         sweeps += 1
-        keep = move > move_target
         if trace is not None and edg is not None:
             if Xa is not X:
                 X[act] = Xa
@@ -316,7 +339,7 @@ def _gs_sweeps(
             if certify is not None:
                 best[act[~keep]] = _total_lengths(Xa[~keep], edg[act[~keep]])
             act = act[keep]
-            Xa, nba = X[act], nb[act]
+            Xa, nba, stirred = X[act], nb[act], stirred[keep]
             classes = None
     if Xa is not X:
         X[act] = Xa

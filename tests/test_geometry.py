@@ -30,6 +30,87 @@ def coords(dim=3):
     )
 
 
+def _masked_fermat_triples(P: np.ndarray) -> np.ndarray:
+    """The Fermat kernel as it was written before its single np.where form.
+
+    Seven vertex cases assigned through ``out``/``done`` masks in precedence
+    order, then the equilateral-apex construction on the remaining rows only.
+    """
+    A, B, C = P[:, 0], P[:, 1], P[:, 2]
+    out = np.empty_like(A)
+    ab, ac, bc = B - A, C - A, C - B
+    dab = np.linalg.norm(ab, axis=1)
+    dac = np.linalg.norm(ac, axis=1)
+    dbc = np.linalg.norm(bc, axis=1)
+    scale = np.maximum(np.maximum(dab, dac), dbc)
+    done = np.zeros(len(P), dtype=bool)
+    all_same = scale == 0.0
+    out[all_same] = A[all_same]
+    done |= all_same
+    tiny = 1e-14 * np.where(scale == 0.0, 1.0, scale)
+    for mask_d, val in ((dab <= tiny, A), (dac <= tiny, A), (dbc <= tiny, B)):
+        m = mask_d & ~done
+        out[m] = val[m]
+        done |= m
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_a = np.einsum("ij,ij->i", ab, ac) / (dab * dac)
+        cos_b = -np.einsum("ij,ij->i", ab, bc) / (dab * dbc)
+        cos_c = np.einsum("ij,ij->i", ac, bc) / (dac * dbc)
+    for cos_v, val in ((cos_a, A), (cos_b, B), (cos_c, C)):
+        m = (cos_v <= -0.5) & ~done
+        out[m] = val[m]
+        done |= m
+    idx = np.flatnonzero(~done)
+    if idx.size == 0:
+        return out
+    a3, b3, c3 = A[idx], B[idx], C[idx]
+    e1 = (b3 - a3) / dab[idx, None]
+    w = c3 - a3
+    comp1 = np.einsum("ij,ij->i", w, e1)
+    h = w - comp1[:, None] * e1
+    hn = np.linalg.norm(h, axis=1)
+    hn = np.where(hn == 0.0, 1.0, hn)
+    e2 = h / hn[:, None]
+    a2 = np.zeros((len(idx), 2))
+    b2 = np.stack([dab[idx], np.zeros(len(idx))], axis=1)
+    c2 = np.stack([comp1, np.linalg.norm(h, axis=1)], axis=1)
+
+    def apex(p, q, opposite):
+        mid = 0.5 * (p + q)
+        seg = q - p
+        perp = np.stack([-seg[:, 1], seg[:, 0]], axis=1)
+        side = np.einsum("ij,ij->i", perp, opposite - mid)
+        sign = np.where(side > 0.0, -1.0, 1.0)
+        return mid + sign[:, None] * (np.sqrt(3.0) / 2.0) * perp
+
+    d1 = apex(b2, c2, a2) - a2
+    d2 = apex(a2, c2, b2) - b2
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    det = np.where(det == 0.0, 1.0, det)
+    rhs = b2 - a2
+    t = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
+    f2 = a2 + t[:, None] * d1
+    out[idx] = a3 + f2[:, 0, None] * e1 + f2[:, 1, None] * e2
+    return out
+
+
+def _degenerate_triples(rng, count: int, dim: int) -> np.ndarray:
+    """Gaussian triples, most of them bent into a degenerate case."""
+    P = rng.normal(size=(count, 3, dim))
+    kind = rng.integers(0, 8, count)
+    P[kind == 1, 1] = P[kind == 1, 0]  # coincident pair
+    P[kind == 2, 2] = P[kind == 2, 1]
+    near = kind == 3  # a pair 1e-15 apart
+    P[near, 1] = P[near, 0] + 1e-15 * rng.normal(size=(near.sum(), dim))
+    line = kind == 4  # collinear, the third point on either side or between
+    t = rng.uniform(-2.0, 2.0, line.sum())[:, None]
+    P[line, 2] = P[line, 0] + t * (P[line, 1] - P[line, 0])
+    P[kind == 5] = 0.0
+    P[kind == 6] = np.round(P[kind == 6])  # small integers: exact zeros and ties
+    P[kind == 7, :, -1] = 0.0  # flat in the last axis
+    return P
+
+
 class TestDistanceAndAngle:
     def test_distance_basic(self):
         assert distance([0.0, 0.0], [3.0, 4.0]) == 5.0
@@ -188,6 +269,12 @@ class TestFermatTriplesBatch:
                 assert angle_at(pts[v], pts[o1], pts[o2]) >= 2 * math.pi / 3 - 1e-9
                 pull = sum((pts[i] - pts[v]) / np.linalg.norm(pts[i] - pts[v]) for i in (o1, o2))
                 assert np.linalg.norm(pull) <= 1.0
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_bit_identical_to_masked_kernel(self, dim):
+        P = _degenerate_triples(np.random.default_rng(100 + dim), 60000, dim)
+        new, old = fermat_point_triples(P), _masked_fermat_triples(P)
+        assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
     def test_vertex_snap_is_exact(self):
         pts = np.array([[[0.0, 0.0], [1.0, 0.0], [-1.0, 0.1]]])

@@ -121,49 +121,49 @@ class TestCoverageCheck:
 
 class TestHorseshoeCircle:
     def test_beats_full_parallel_circle(self):
-        net, length = horseshoe_circle(6.0, 1.0, TOL)
+        net, length = horseshoe_circle(6.0, 1.0)
         assert length < 2.0 * np.pi * 5.0
         assert length == pytest.approx(HORSESHOE_R6_LENGTH, rel=1e-9)
 
     def test_covers_dense_boundary(self):
-        net, _ = horseshoe_circle(6.0, 1.0, TOL)
+        net, _ = horseshoe_circle(6.0, 1.0)
         rep = coverage_check(net, _circle_samples(6.0, 1440), 1.0, TOL)
         assert rep.covered
         assert rep.max_defect <= 1e-6 * 6.0
 
     def test_small_radius_still_feasible(self):
-        net, length = horseshoe_circle(2.0, 1.0, TOL)
+        net, length = horseshoe_circle(2.0, 1.0)
         rep = coverage_check(net, _circle_samples(2.0), 1.0, TOL)
         assert rep.covered
         assert length < 2.0 * np.pi * 1.0
 
     def test_rejects_r_not_less_than_big_radius(self):
         with pytest.raises(MdmError):
-            horseshoe_circle(1.0, 1.0, TOL)
+            horseshoe_circle(1.0, 1.0)
 
 
 class TestHorseshoeStadium:
     def test_zero_segment_degenerates_to_circle(self):
-        _, circ = horseshoe_circle(2.5, 1.0, TOL)
-        _, stad = horseshoe_stadium(2.5, 1.0, 0.0, TOL)
+        _, circ = horseshoe_circle(2.5, 1.0)
+        _, stad = horseshoe_stadium(2.5, 1.0, 0.0)
         assert stad == pytest.approx(circ, abs=1e-9)
 
     def test_r6_covers(self):
-        net, length = horseshoe_stadium(6.0, 1.0, 2.0, TOL)
+        net, length = horseshoe_stadium(6.0, 1.0, 2.0)
         samples = sample_compact(CompactSetDescriptor.stadium(6.0, 2.0), 1600)
         rep = coverage_check(net, samples, 1.0, TOL)
         assert rep.covered
         assert length == pytest.approx(HORSESHOE_STADIUM_R6_LENGTH, rel=1e-9)
 
     def test_tight_radius_covers(self):
-        net, _ = horseshoe_stadium(1.5, 1.0, 2.0, TOL)
+        net, _ = horseshoe_stadium(1.5, 1.0, 2.0)
         samples = sample_compact(CompactSetDescriptor.stadium(1.5, 2.0), 800)
         rep = coverage_check(net, samples, 1.0, TOL)
         assert rep.covered
 
     def test_rejects_negative_segment(self):
         with pytest.raises(MdmError):
-            horseshoe_stadium(2.0, 1.0, -1.0, TOL)
+            horseshoe_stadium(2.0, 1.0, -1.0)
 
 
 def _arc_distances(pts, arcs):
@@ -245,10 +245,10 @@ class TestHorseshoeDenseCoverage:
     @pytest.mark.parametrize("R, L", [(2.0, 0.0), (6.0, 0.0), (1.5, 2.0), (3.0, 2.0), (6.0, 2.0)])
     def test_covers_1e5_boundary_samples(self, R, L):
         if L:
-            net, _ = horseshoe_stadium(R, 1.0, L, TOL)
+            net, _ = horseshoe_stadium(R, 1.0, L)
             desc = CompactSetDescriptor.stadium(R, L)
         else:
-            net, _ = horseshoe_circle(R, 1.0, TOL)
+            net, _ = horseshoe_circle(R, 1.0)
             desc = CompactSetDescriptor.circle(R)
         rep = coverage_check(net, sample_compact(desc, 100_000), 1.0, TOL)
         assert rep.covered
@@ -302,7 +302,7 @@ def _closest_cases():
     curve = np.column_stack([np.cos(t / t[-1] * 5.0), np.sin(t / t[-1] * 5.0)]) * (1.0 + 0.1 * np.sin(t))[:, None]
     ring = np.column_stack([np.cos(np.linspace(0, 2 * np.pi, 2000)), np.sin(np.linspace(0, 2 * np.pi, 2000))])
     cases["uneven"] = (MdmNetwork(curve, [(i, i + 1) for i in range(400)]), np.vstack([1.1 * ring, 0.3 * ring, curve]))
-    hs, _ = horseshoe_stadium(3.0, 1.0, 2.0, TOL)
+    hs, _ = horseshoe_stadium(3.0, 1.0, 2.0)
     cases["horseshoe"] = (hs, sample_compact(CompactSetDescriptor.stadium(3.0, 2.0), 1441))
     return cases
 
@@ -342,7 +342,7 @@ class TestStadiumCompetitor:
     def test_wide_radius_cannot_beat_horseshoe(self):
         # the parallel-curve construction is optimal for wide stadiums, so the
         # path-and-fork family must come out at least as long
-        _, hs = horseshoe_stadium(6.0, 1.0, 2.0, TOL)
+        _, hs = horseshoe_stadium(6.0, 1.0, 2.0)
         _, comp = stadium_competitor(6.0, 1.0, 2.0, TOL)
         assert comp >= hs - 1e-6
 
@@ -534,7 +534,7 @@ class TestPenaltyTable:
 class TestSolveMdmNumeric:
     def test_recovers_horseshoe_from_perturbed_start(self):
         R = 3.0
-        hs, hs_len = horseshoe_circle(R, 1.0, TOL)
+        hs, hs_len = horseshoe_circle(R, 1.0)
         coarse = resample_path_network(hs, 36)
         rng = np.random.default_rng(5)
         init = MdmNetwork(
@@ -549,7 +549,7 @@ class TestSolveMdmNumeric:
 
     def test_objective_descends_within_each_epoch(self):
         R = 3.0
-        hs, _ = horseshoe_circle(R, 1.0, TOL)
+        hs, _ = horseshoe_circle(R, 1.0)
         coarse = resample_path_network(hs, 24)
         rng = np.random.default_rng(9)
         init = MdmNetwork(
@@ -600,7 +600,7 @@ class TestEnergeticPoints:
             assert np.linalg.norm(x - w) == pytest.approx(1.0, abs=1e-6)
 
     def test_horseshoe_arc_is_energetic(self):
-        net, _ = horseshoe_circle(6.0, 1.0, TOL)
+        net, _ = horseshoe_circle(6.0, 1.0)
         es = energetic_points(net, _circle_samples(6.0, 1440), 1.0, TOL)
         assert len(es.points) > 300
         X = np.array([x for x, _ in es.points])

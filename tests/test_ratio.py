@@ -12,6 +12,7 @@ from scipy.spatial.distance import pdist, squareform
 from minnet.experiments import hex_lattice_instance
 from minnet.geometry import GeometryError
 from minnet.ratio import (
+    _candidate_rows,
     caterpillar_ratio,
     caterpillar_topology,
     mst,
@@ -123,6 +124,16 @@ def _oracle_inputs():
     for n in (64, 512, 2048):
         cases[f"uniform2d_{n}"] = rng.random((n, 2))
         cases[f"uniform3d_{n}"] = rng.random((n, 3))
+    # Planar 3-d sets that Qhull rejects or only partly triangulates: MST
+    # candidates come from a 2-d Delaunay triangulation in their plane.
+    plane = np.random.default_rng(2025)
+    rot = np.linalg.qr(plane.normal(size=(3, 3)))[0]
+    for n in (300, 2048):
+        flat = plane.random((n, 2))
+        cases[f"z_const_{n}"] = np.column_stack([flat, np.full(n, 0.7)])
+        cases[f"tilted_uniform_{n}"] = np.column_stack([flat, np.zeros(n)]) @ rot.T + [1.0, -2.0, 0.5]
+    hexes = hex_lattice_instance(500)
+    cases["tilted_hex"] = np.column_stack([hexes, np.zeros(len(hexes))]) @ rot.T
     return cases
 
 
@@ -157,6 +168,16 @@ class TestMstMatchesDensePrim:
             mst(pts)
             timings.append(time.perf_counter() - t0)
         assert min(timings) < 0.2
+
+
+    @pytest.mark.parametrize("name", ["z_const_2048", "tilted_uniform_2048", "tilted_hex"])
+    def test_planar_3d_set_takes_plane_delaunay_candidates(self, name):
+        pts = ORACLE_INPUTS[name]
+        rows = _candidate_rows(pts)
+        assert rows is not None
+        # A triangulation has fewer than 3n edges, so each point keeps a
+        # handful of candidates instead of all n - 1.
+        assert sum(len(rows(v)[0]) for v in range(len(pts))) < 6 * len(pts)
 
 
 class TestSteinerRatio:

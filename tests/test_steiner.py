@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from minnet import steiner
+from minnet import experiments, mdm, steiner
 from minnet.experiments import heuristic_steiner, hex_lattice_instance, random_instance
 from minnet.geometry import (
     DEFAULT_TOL,
@@ -17,6 +17,7 @@ from minnet.geometry import (
     angle_at,
     fermat_point_triples,
 )
+from minnet.mdm import solve_mdm_finite
 from minnet.ratio import caterpillar_topology
 from minnet.steiner import (
     EmbeddedTree,
@@ -325,6 +326,56 @@ def _embeddings_after(pts: np.ndarray, topologies, sweeps: int):
     return X, nb, edg
 
 
+def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certify=None, balls=None):
+    """Reference sweep driver: every sweep recomputes every branch node.
+
+    ``_gs_sweeps`` without its active set, with the same retirement, trace,
+    certificate and ball-leaf rules; a topology's largest move decides
+    whether it stays in the batch.
+    """
+    act = np.arange(len(nb))
+    colour = _colour_classes(nb, n)
+    if certify is not None:
+        pruned, degen, eps_tie = certify
+        best = steiner._total_lengths(X, edg)
+    sweeps = 0
+    while sweeps < max_sweeps and len(act):
+        Xa, nba = X[act], nb[act]
+        move = np.zeros(len(act))
+        if balls is not None:
+            centers, radii, leaf_nbr = balls
+            v = Xa[np.arange(len(act))[:, None], leaf_nbr[act]] - centers
+            dist = np.linalg.norm(v, axis=2)
+            reach = np.minimum(dist, radii) / np.where(dist == 0.0, 1.0, dist)
+            new = centers + reach[..., None] * v
+            move = np.linalg.norm(new - Xa[:, :n], axis=2).max(axis=1)
+            Xa[:, :n] = new
+        for c in (False, True):
+            rows, i = np.nonzero(colour[act] == c)
+            if len(rows):
+                new = fermat_point_triples(Xa[rows[:, None], nba[rows, i]])
+                np.maximum.at(move, rows, np.linalg.norm(new - Xa[rows, n + i], axis=1))
+                Xa[rows, n + i] = new
+        X[act] = Xa
+        sweeps += 1
+        keep = move > move_target
+        if trace is not None and edg is not None:
+            trace.append(steiner._total_lengths(X, edg))
+        if certify is not None and sweeps % 10 == 0:
+            best[act] = steiner._total_lengths(Xa, edg[act])
+            cutoff = best.min() * (1.0 + eps_tie)
+            far = np.flatnonzero(keep & (best[act] > cutoff))
+            if len(far):
+                dead = far[_lower_bounds(Xa[far], nba[far], edg[act[far]], n, degen) > cutoff]
+                pruned[act[dead]] = True
+                keep[dead] = False
+        if not keep.all() and sweeps < max_sweeps:
+            if certify is not None:
+                best[act[~keep]] = steiner._total_lengths(Xa[~keep], edg[act[~keep]])
+            act = act[keep]
+    return sweeps
+
+
 def _bound_instances():
     rng = np.random.default_rng(2024)
     out = [
@@ -446,10 +497,27 @@ class TestColourClasses:
 
         pts = np.random.default_rng(40).uniform(0.0, 1.0, (40, 2))
         X, nb, _ = _embeddings_after(pts, [caterpillar_topology(40)], 0)
+        Y = X.copy()
+        _full_sweeps(Y, nb, 40, 0.0, 5)
+        # The nodes due in full sweeps: all in the first sweep, then those
+        # with a neighbour whose last update changed it.
+        colour, Z = _colour_classes(nb, 40)[0], X[0].copy()
+        changed, due = np.zeros(78, dtype=bool), 0
+        for sweep in range(5):
+            for c in (False, True):
+                idx = 40 + np.flatnonzero(colour == c)
+                due += len(idx) if sweep == 0 else changed[nb[0, idx - 40]].any(axis=1).sum()
+                new = fermat_point_triples(Z[nb[0, idx - 40]])
+                changed[idx] = (new != Z[idx]).any(axis=1)
+                Z[idx] = new
         monkeypatch.setattr(steiner, "fermat_point_triples", counting)
         _gs_sweeps(X, nb, 40, 0.0, 5)
-        assert len(calls) == 10
-        assert sum(calls) == 5 * 38
+        # At most one call per class and sweep; the active set sends only the
+        # due nodes, fewer than the 38 a full sweep moves, and lands on the
+        # full sweeps' embedding bit for bit.
+        assert len(calls) <= 10
+        assert sum(calls) == due < 5 * 38
+        assert np.array_equal(X, Y) and np.array_equal(X[0], Z)
 
     def test_class_update_is_node_by_node_gauss_seidel(self):
         # Moving a class at once equals moving its nodes one at a time, class
@@ -898,3 +966,47 @@ class TestArrayKernelsMatchPerEdgeOracles:
         tree = solve_exact([(0.0, 0.0), (1.0, 0.0), (0.5, 0.05)]).tree
         _assert_reports_match(verify_tree(tree), oracle_verify_tree(tree))
         _assert_ball_stats_match(tree, (0.5, 0.05), 0.5, 0.9)
+
+
+class TestActiveSet:
+    """``_gs_sweeps`` recomputes only nodes with a moved neighbour."""
+
+    @pytest.mark.parametrize("radius", [None, 0.05])
+    def test_equals_full_sweeps_at_zero_target(self, radius):
+        pts = np.random.default_rng(11).uniform(0.0, 1.0, (6, 2))
+        topologies = enumerate_full_topologies(6)
+        X, nb, _ = _embeddings_after(pts, topologies, 0)
+        balls = None
+        if radius is not None:
+            leaf_nbr = np.array([[topo.neighbors(i)[0] for i in range(6)] for topo in topologies])
+            balls = (pts, np.full(6, radius), leaf_nbr)
+        Y = X.copy()
+        assert _gs_sweeps(X, nb, 6, 0.0, 60, balls=balls) == _full_sweeps(Y, nb, 6, 0.0, 60, balls=balls)
+        assert np.array_equal(X, Y)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            pytest.param(hex_lattice_instance(250), id="hex250"),
+            pytest.param(random_instance(512, 5), id="uniform2d_512"),
+            pytest.param(random_instance(512, 6, dim=3), id="uniform3d_512"),
+        ],
+    )
+    def test_heuristic_matches_full_sweeps(self, pts, monkeypatch):
+        length = heuristic_steiner(pts).length
+        monkeypatch.setattr(experiments, "_gs_sweeps", _full_sweeps)
+        assert length == pytest.approx(heuristic_steiner(pts).length, rel=1e-9)
+
+    @pytest.mark.parametrize("n,d,seed", [(6, 2, 61), (6, 3, 62), (7, 2, 71), (7, 3, 72)])
+    def test_solve_exact_matches_full_sweeps(self, n, d, seed, monkeypatch):
+        pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, d))
+        length = solve_exact(pts).tree.length
+        monkeypatch.setattr(steiner, "_gs_sweeps", _full_sweeps)
+        assert length == pytest.approx(solve_exact(pts).tree.length, rel=1e-9)
+
+    @pytest.mark.parametrize("n,seed", [(5, 51), (5, 52), (6, 61), (6, 62)])
+    def test_finite_solver_matches_full_sweeps(self, n, seed, monkeypatch):
+        pts = np.random.default_rng(seed).uniform(0.0, 8.0, (n, 2))
+        length = solve_mdm_finite(pts, 1.0).length
+        monkeypatch.setattr(mdm, "_gs_sweeps", _full_sweeps)
+        assert length == pytest.approx(solve_mdm_finite(pts, 1.0).length, rel=1e-9)
