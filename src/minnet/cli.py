@@ -175,6 +175,7 @@ def _cmd_steiner_solve(args) -> int:
             "n_topologies": res.n_topologies,
             "n_unconverged": res.n_unconverged,
             "n_pruned": res.n_pruned,
+            "gap": res.gap,
             "wall_time_s": wall,
             "tolerances": asdict(tol),
         },

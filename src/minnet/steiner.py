@@ -10,22 +10,28 @@ Total length is convex in the branch coordinates, and each node update is
 the exact block minimizer, so the sweep never increases length.  The exact
 solver, the heuristic and ``mdm.solve_mdm_finite`` all relax through it.
 
+One certificate decides both convergence and pruning: the weak-duality
+bound of :func:`_lower_bounds`, LB <= L* for the topology's optimal length
+L*, built from edge vectors in the unit ball with no divergence at the
+branch nodes.  A topology is ``converged`` when its length L is certified
+within ``eps_len * scale`` of its own optimum (L - LB <= eps_len * scale),
+and pruned when LB exceeds the shortest embedding found by more than the
+tie tolerance ``eps_tie``.
+
 Coordinate descent stalls where coincident branch nodes want to translate
-as a block, and crawls where short edges couple branch nodes stiffly.  A
-first-order stationarity check finds both, and one finisher handles both:
-damped Newton on the smoothed length sum_e sqrt(l_e^2 + eps^2) over all
-branch nodes, batched over the flagged topologies, with eps driven toward
-machine scale.  It never lengthens a topology, so monotonicity holds.  The
-finisher runs only on topologies near the running minimum; far-from-minimal
-stalls keep an honest ``converged=False`` and a length that is a slight
-overestimate (upper bound) of their true optimum.
+as a block, and crawls where short edges couple branch nodes stiffly.  One
+finisher handles both: damped Newton on the smoothed length
+sum_e sqrt(l_e^2 + eps^2) over all branch nodes, batched over the
+uncertified topologies, with eps driven toward machine scale.  It never
+lengthens a topology, so monotonicity holds.  The finisher runs only on
+topologies near the running minimum; far-from-minimal stalls keep an honest
+``converged=False`` and a length that is a slight overestimate (upper bound)
+of their true optimum.
 
 :func:`solve_exact` sweeps all full topologies as one batch (they share the
 same array shapes for a given terminal count), and each topology retires
 from the batch on its own: once a sweep moves none of its branch nodes, or
-once a certified lower bound on its optimum (convexity plus the terminals'
-convex hull, see :func:`_lower_bounds`) exceeds the shortest embedding found
-by more than the tie tolerance.  No topology is dropped on a guess, so the
+once its lower bound prunes it.  No topology is dropped on a guess, so the
 winner and every cominimal topology are always fully relaxed; cominimal
 topologies are reported within a relative tie tolerance.
 """
@@ -62,6 +68,8 @@ __all__ = [
 ]
 
 MIN_BRANCH_ANGLE = 2.0 * np.pi / 3.0
+_DUAL_ROUNDS = 5  # clip-and-project rounds of the dual certificate
+_WEIGHT_FLOOR = 1e-3  # shortest edge a dual weight sees, in units of degen
 
 
 def _as_terminal_array(points) -> np.ndarray:
@@ -70,6 +78,15 @@ def _as_terminal_array(points) -> np.ndarray:
         raise GeometryError(f"terminals must have shape (n >= 2, d >= 2), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise GeometryError("terminals contain non-finite coordinates")
+    # Relative tolerances and edge weights scale with the extent, so its
+    # square must be a normal float unless every terminal coincides.
+    with np.errstate(over="ignore", under="ignore"):
+        spread = np.ptp(pts, axis=0)
+        extent2 = float((spread**2).sum())
+    if spread.any() and not np.finfo(float).tiny <= extent2 < np.inf:
+        raise GeometryError(
+            f"terminal extent {spread.max():.3g} is out of range: its square must be a normal float"
+        )
     return pts
 
 
@@ -116,9 +133,12 @@ class EmbeddedTree:
 class SolveResult:
     """Winner, cominimal topologies and per-topology accounting.
 
-    Every topology is either stationary (converged), certified non-minimal
-    by a lower bound (``n_pruned``), or neither (``n_unconverged``).
-    ``sweeps`` counts the batched Gauss-Seidel sweeps of the main phase.
+    Every topology is either converged (its length certified within
+    ``eps_len * scale`` of its own optimum by the duality gap), certified
+    non-minimal by the same lower bound (``n_pruned``), or neither
+    (``n_unconverged``).  ``sweeps`` counts the batched Gauss-Seidel sweeps
+    of the main phase, and ``gap`` is the winner's length minus its lower
+    bound.
     """
 
     tree: EmbeddedTree
@@ -127,6 +147,7 @@ class SolveResult:
     n_unconverged: int
     n_pruned: int = 0
     sweeps: int = 0
+    gap: float = 0.0
 
 
 @dataclass
@@ -196,32 +217,44 @@ def _total_lengths(X: np.ndarray, edg: np.ndarray) -> np.ndarray:
 def _lower_bounds(X, nb, edg, n: int, degen: float) -> np.ndarray:
     """Certified lower bound on each topology's optimal length, from embedding X.
 
-    Length L is convex in the branch nodes y, and L(y) >= G(y) for the
-    linear minorant built from one multiplier per edge: the unit edge vector
-    for an edge longer than ``degen``, and for a shorter edge a vector in the
-    unit ball (the one that best cancels its endpoints' resultants, clipped),
-    which makes G(x) >= L(x) - 2 l_e per short edge.  G has gradient g_i at
-    branch node i, and an optimal embedding lies in the terminals' convex
-    hull, so ``L* >= L(x) - 2 sum_short l_e + sum_i min_t g_i.(p_t - x_i)``.
-    The last sum is at least ``-sum_i |g_i| R_i`` with R_i the distance from
-    x_i to its farthest terminal.
+    Weak duality for a sum of norms (the dual of Xue & Ye, SIAM J. Optim. 7,
+    1997): with D_e = x_a - x_b for edge e = (a, b) and any edge vectors
+    |u_e| <= 1, ``L >= sum_e u_e . D_e`` for every embedding, and if u has no
+    divergence at the branch nodes the right side involves the terminals
+    only, so it bounds the optimum L*.  u starts from the unit edge vectors
+    (0 on edges of length <= ``degen``); each round removes the divergence at
+    the branch nodes with one weighted-Laplacian solve, w_e = 1 / l_e floored
+    at ``_WEIGHT_FLOOR * degen`` so that short edges take the corrections,
+    and clips every u_e to the unit ball.  One last solve follows, then u is
+    divided by its largest |u_e|.  At a non-degenerate optimum u is the unit
+    vectors and the bound equals L.  The divergence r_i that rounding leaves
+    at branch node i is bounded over the terminals' convex hull, where an
+    optimal embedding lies: ``L* >= sum_e u_e . D_e + sum_i min_t r_i.(p_t - x_i)``.
+    The bound reads the topology from ``edg`` alone; ``nb`` is not used.
     """
-    vec, lens = _unit_vectors(X, nb, n)
-    short = lens <= degen
-    with np.errstate(invalid="ignore", divide="ignore"):
-        units = np.where(short[..., None], 0.0, vec / lens[..., None])
-    r = -units.sum(axis=2)  # (T, s, d) resultant of the long edges
-    k = np.maximum(short.sum(axis=2), 1)[..., None]
-    share = r / k  # what each short edge at a node should cancel
-    T = X.shape[0]
-    other = share[np.arange(T)[:, None, None], np.maximum(nb - n, 0)]
-    lam = np.where((nb >= n)[..., None], 0.5 * (other - share[:, :, None]), -share[:, :, None])
-    lam /= np.maximum(np.linalg.norm(lam, axis=3), 1.0)[..., None]
-    g = r + np.where(short[..., None], lam, 0.0).sum(axis=2)
-    # min over the hull of g_i . (y_i - x_i) is attained at a terminal.
-    drop = np.einsum("tsd,tsnd->tsn", g, X[:, None, :n, :] - X[:, n:, None, :]).min(axis=2)
-    charge = 2.0 * np.where(short, np.where(nb >= n, 0.5, 1.0) * lens, 0.0).sum(axis=(1, 2))
-    return _total_lengths(X, edg) + drop.sum(axis=1) - charge
+    T, m, _ = X.shape
+    s = m - n
+    e_idx = np.arange(edg.shape[1])
+    t_idx = np.arange(T)[:, None]
+    delta = X[t_idx, edg[..., 0]] - X[t_idx, edg[..., 1]]
+    ell = np.linalg.norm(delta, axis=2)
+    u = np.where((ell > degen)[..., None], delta / np.maximum(ell, degen)[..., None], 0.0)
+    w = 1.0 / np.maximum(ell, _WEIGHT_FLOOR * degen)[..., None]
+    # Signed incidence of the branch nodes; terminal ends go to a dropped row s.
+    B = np.zeros((T, s + 1, edg.shape[1]))
+    B[t_idx, np.where(edg[..., 0] >= n, edg[..., 0] - n, s), e_idx] = 1.0
+    B[t_idx, np.where(edg[..., 1] >= n, edg[..., 1] - n, s), e_idx] = -1.0
+    B = B[:, :s]
+    Bt = B.transpose(0, 2, 1)
+    lap = B @ (w * Bt)
+    for k in range(_DUAL_ROUNDS + 1):
+        u += w * (Bt @ np.linalg.solve(lap, -(B @ u)))
+        if k < _DUAL_ROUNDS:
+            u /= np.maximum(np.linalg.norm(u, axis=2), 1.0)[..., None]
+    u /= np.linalg.norm(u, axis=2).max(axis=1)[:, None, None]
+    # min over the hull of r_i . (y_i - x_i) is attained at a terminal.
+    drop = np.einsum("tsd,tsnd->tsn", B @ u, X[:, None, :n, :] - X[:, n:, None, :]).min(axis=2)
+    return (u * delta).sum(axis=(1, 2)) + drop.sum(axis=1)
 
 
 def _colour_classes(nb: np.ndarray, n: int) -> np.ndarray:
@@ -346,16 +379,6 @@ def _gs_sweeps(
     return sweeps
 
 
-def _unit_vectors(X, nb, n):
-    """Edge vectors and lengths from each branch node to its 3 neighbors."""
-    T = X.shape[0]
-    t_idx = np.arange(T)[:, None, None]
-    nbr_pos = X[t_idx, nb]  # (T, s, 3, d)
-    vec = nbr_pos - X[:, n:, None, :]
-    lens = np.linalg.norm(vec, axis=3)
-    return vec, lens
-
-
 def _labels(m: int, pairs) -> np.ndarray:
     """Component of each node ``0..m-1`` under ``pairs``, named by its smallest node.
 
@@ -373,98 +396,6 @@ def _cluster_roots(T: int, m: int, t, a, b) -> np.ndarray:
     offset = np.arange(T) * m
     pairs = np.column_stack([a + offset[t], b + offset[t]])
     return _labels(T * m, pairs).reshape(T, m) - offset[:, None]
-
-
-def _connected_subsets(nodes: list[int], adj: dict[int, set[int]]) -> list[list[int]]:
-    """All nonempty subsets of ``nodes`` that are connected under ``adj``."""
-    out = []
-    m = len(nodes)
-    for mask in range(1, 1 << m):
-        subset = [nodes[i] for i in range(m) if mask >> i & 1]
-        if len(subset) == 1:
-            out.append(subset)
-            continue
-        inset = set(subset)
-        stack, seen = [subset[0]], {subset[0]}
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in inset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) == len(subset):
-            out.append(subset)
-    return out
-
-
-def _cluster_subsets(members: list[int], nbi, lens, n: int, degen: float):
-    """Connected subsets S of a coincidence cluster's branch nodes.
-
-    Yields ``(S, ext, cut)``: ``ext`` holds, per node of S, the (node row,
-    slot) pairs of its edges leaving the cluster, and ``cut`` counts the
-    zero-length edges a joint move of S would stretch (edges to the rest of
-    the cluster, coincident terminals included).
-    """
-    member_set = set(members)
-    steiner_members = [v for v in members if v >= n]
-    inner_adj: dict[int, set[int]] = {v: set() for v in steiner_members}
-    ext_of: dict[int, list[tuple[int, int]]] = {v: [] for v in steiner_members}
-    term_edges = dict.fromkeys(steiner_members, 0)
-    for v in steiner_members:
-        i = v - n
-        for k in range(3):
-            w = int(nbi[i, k])
-            if w in member_set and lens[i, k] <= degen:
-                if w >= n:
-                    inner_adj[v].add(w)
-                else:
-                    term_edges[v] += 1
-            else:
-                ext_of[v].append((i, k))
-    for subset in _connected_subsets(steiner_members, inner_adj):
-        sub = set(subset)
-        cut = sum(term_edges[v] + sum(1 for w in inner_adj[v] if w not in sub) for v in subset)
-        yield subset, [ext_of[v] for v in subset], cut
-
-
-def _stationarity_ok(X, nb, n, scale, tol: ToleranceConfig) -> np.ndarray:
-    """First-order optimality per topology, honoring degenerate collapses.
-
-    Non-degenerate branch nodes need their three unit edge vectors to cancel.
-    Nodes joined by (numerically) zero edges form coincidence clusters, and a
-    cluster is stationary iff no connected subset S of its branch nodes can
-    move: the resultant of S's external unit vectors must not exceed the
-    number of zero-length edges such a move would stretch (edges from S to
-    the rest of the cluster, including edges to coincident terminals, each
-    resist with unit strength).
-    """
-    T, s, _ = nb.shape
-    vec, lens = _unit_vectors(X, nb, n)
-    degen = max(tol.eps_len * scale, 1e-300)
-    res_tol = 10.0 * tol.eps_len
-    ok = np.ones(T, dtype=bool)
-
-    nondeg_node = (lens > degen).all(axis=2)  # (T, s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        units = vec / np.where(lens[..., None] == 0.0, 1.0, lens[..., None])
-    resid = np.linalg.norm(units.sum(axis=2), axis=2)  # (T, s)
-    ok &= ~np.any(nondeg_node & (resid > res_tol), axis=1)
-
-    # Topologies with degenerate edges get a per-topology cluster analysis.
-    has_degen = np.flatnonzero(~nondeg_node.all(axis=1))
-    d = X.shape[2]
-    h, i, k = np.nonzero(lens[has_degen] <= degen)
-    roots = _cluster_roots(len(has_degen), n + s, h, n + i, nb[has_degen[h], i, k])
-    for t, root in zip(has_degen, roots):
-        for c in np.flatnonzero(np.bincount(root) >= 2):
-            if not ok[t]:
-                break
-            members = np.flatnonzero(root == c).tolist()
-            for _, ext, cap in _cluster_subsets(members, nb[t], lens[t], n, degen):
-                res = [sum((units[t, i, k] for i, k in slots), np.zeros(d)) for slots in ext]
-                if np.linalg.norm(sum(res, np.zeros(d))) > cap + res_tol:
-                    ok[t] = False
-                    break
-    return ok
 
 
 def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float) -> None:
@@ -560,8 +491,12 @@ def _relax_batch(
 ):
     """Relax every topology of one batch.
 
-    Returns (X, lengths, converged, traces, pruned, sweeps), where ``pruned``
-    marks non-stationary topologies certified non-minimal by a lower bound.
+    Returns (X, lengths, converged, gaps, traces, pruned, sweeps).  ``gaps``
+    is each length minus its :func:`_lower_bounds` value, taken after the
+    sweeps and again after the finisher; ``converged`` means the gap is at
+    most ``eps_len * scale``, so the length is certified within that of the
+    topology's optimum.  ``pruned`` marks unconverged topologies whose lower
+    bound exceeds the shortest length by more than ``eps_tie``.
     """
     n, d = terminals.shape
     s = n - 2
@@ -574,7 +509,7 @@ def _relax_batch(
     if scale == 0.0:
         X[:, n:] = terminals[0]
         lengths = np.zeros(T)
-        return X, lengths, np.ones(T, dtype=bool), [np.zeros(T)], pruned, 0
+        return X, lengths, np.ones(T, dtype=bool), np.zeros(T), [np.zeros(T)], pruned, 0
 
     X[:, n:] = _harmonic_init(terminals, nb)
     trace: list | None = [] if record_trace else None
@@ -584,32 +519,24 @@ def _relax_batch(
     sweeps = _gs_sweeps(
         X, nb, n, move_target, max_sweeps, edg, trace, (pruned, degen, tol.eps_tie)
     )
-    ok = _stationarity_ok(X, nb, n, scale, tol)
-    def near_min(flags: np.ndarray) -> np.ndarray:
-        # Only topologies near the current best length matter downstream, so
-        # the finisher skips far-from-minimal stalls and certified
-        # non-minimal ones; those keep an honest converged=False.
-        lens_now = _total_lengths(X, edg)
-        return flags & ~pruned & (lens_now <= lens_now.min() * (1.0 + 1e-3))
-
-    # No Fermat sweep follows the finisher: for a node about 1e-8 of the
-    # scale away from a neighbor, one rounding error of the Fermat kernel
-    # turns that edge's unit vector by about the stationarity tolerance.
-    flagged = np.flatnonzero(near_min(~ok))
+    lengths = _total_lengths(X, edg)
+    lb = _lower_bounds(X, nb, edg, n, degen)
+    # Only topologies near the current best length matter downstream, so
+    # the finisher skips far-from-minimal ones and certified non-minimal
+    # ones; those keep an honest converged=False.
+    near = lengths <= lengths.min() * (1.0 + 1e-3)
+    flagged = np.flatnonzero((lengths - lb > tol.eps_len * scale) & ~pruned & near)
     if len(flagged):
         _newton_finish(X, edg, n, flagged, scale, degen)
-        ok = _stationarity_ok(X, nb, n, scale, tol)
-
-    lengths = _total_lengths(X, edg)
-    rest = np.flatnonzero(~ok & ~pruned)
-    if len(rest):
-        cutoff = lengths.min() * (1.0 + tol.eps_tie)
-        pruned[rest] = _lower_bounds(X[rest], nb[rest], edg[rest], n, degen) > cutoff
-    pruned &= ~ok
+        lengths = _total_lengths(X, edg)
+        lb[flagged] = _lower_bounds(X[flagged], nb[flagged], edg[flagged], n, degen)
+    gaps = lengths - lb
+    converged = gaps <= tol.eps_len * scale
+    pruned = (pruned | (lb > lengths.min() * (1.0 + tol.eps_tie))) & ~converged
     if trace is not None and (not trace or np.any(trace[-1] != lengths)):
         trace.append(lengths)  # the finisher runs outside the sweep loop
     traces = trace if record_trace else None
-    return X, lengths, ok, traces, pruned, sweeps
+    return X, lengths, converged, gaps, traces, pruned, sweeps
 
 
 def relax_topology(
@@ -630,7 +557,7 @@ def relax_topology(
     if n == 2:
         length = float(np.linalg.norm(pts[0] - pts[1]))
         return EmbeddedTree(topology, pts, np.empty((0, pts.shape[1])), length, True, (length,))
-    X, lengths, converged, traces, _, _ = _relax_batch(
+    X, lengths, converged, _, traces, _, _ = _relax_batch(
         pts, [topology], tol, max_sweeps, record_trace=True
     )
     trace = tuple(float(t[0]) for t in traces) if traces else ()
@@ -694,7 +621,7 @@ def solve_exact(
         return SolveResult(tree, [topo], 1, 0)
 
     topologies = enumerate_full_topologies(n, n_max=n_max)
-    X, lengths, converged, _, pruned, sweeps = _relax_batch(pts, topologies, tol, max_sweeps)
+    X, lengths, converged, gaps, _, pruned, sweeps = _relax_batch(pts, topologies, tol, max_sweeps)
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))
@@ -726,7 +653,9 @@ def solve_exact(
     cominimal = [topologies[t] for t in reps]
     n_pruned = int(pruned.sum())
     n_unconverged = int((~converged).sum()) - n_pruned
-    return SolveResult(best_tree, cominimal, len(topologies), n_unconverged, n_pruned, sweeps)
+    return SolveResult(
+        best_tree, cominimal, len(topologies), n_unconverged, n_pruned, sweeps, float(gaps[best])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,17 @@ class TestSteinerCommands:
         assert solver["n_pruned"] > 0
         assert solver["n_pruned"] + solver["n_unconverged"] <= solver["n_topologies"]
 
+    def test_solve_reports_the_winners_gap(self, tmp_path, capsys):
+        pts = np.random.default_rng(5).uniform(0.0, 1.0, (5, 2))
+        inst = _write(tmp_path, "five.json", {"dim": 2, "problem": "steiner", "terminals": pts.tolist()})
+        out = str(tmp_path / "result.json")
+        assert cli_dispatch(["steiner", "solve", "--in", inst, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        solver = parse_result(open(out, "rb").read()).solver
+        scale = float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=2)))
+        assert solver["converged"] is True
+        assert solver["gap"] <= DEFAULT_TOL.eps_len * scale
+
     def test_ratio_coincident_terminals_exits_invalid(self, tmp_path, capsys):
         coincident = {"dim": 2, "problem": "steiner", "terminals": [[0.25, 0.5]] * 4}
         inst = _write(tmp_path, "coincident.json", coincident)
@@ -481,6 +492,15 @@ class TestDegenerateInputs:
         terms = DEGENERATE_TERMINALS[name]
         inst = _write(tmp_path, "inst.json", {"dim": len(terms[0]), "problem": "steiner", "terminals": terms})
         _assert_documented_exit(_run_cli(["steiner", command, "--in", inst]))
+
+    @pytest.mark.parametrize("size", [1e300, 1e-300])
+    def test_solve_rejects_extent_out_of_float_range(self, tmp_path, size):
+        # Three distinct points whose squared extent overflows or underflows.
+        terms = [[0.0, 0.0], [size, 0.0], [0.0, size]]
+        inst = _write(tmp_path, "inst.json", {"dim": 2, "problem": "steiner", "terminals": terms})
+        proc = _run_cli(["steiner", "solve", "--in", inst])
+        _assert_documented_exit(proc)
+        assert proc.returncode == EXIT_INVALID
 
     def test_exp_run_heuristic_rows(self, tmp_path):
         rows = _write(tmp_path, "rows.json", DEGENERATE_ROWS)

@@ -393,7 +393,37 @@ def _bound_instances():
     for n in (4, 5, 6, 7):
         for d in (2, 3):
             out.append(pytest.param(rng.uniform(0.0, 1.0, (n, d)), id=f"uniform_n{n}_d{d}"))
+    # A terminal pair 1e-10 apart collapses a branch node onto it, and a
+    # hexagon jittered by 1e-7 has many near-optimal topologies with short
+    # edges; both leave edges the bound must handle below degen.
+    for n, d in ((5, 2), (4, 3)):
+        pts = rng.uniform(0.0, 1.0, (n, d))
+        pts[1] = pts[0] + 1e-10 * rng.standard_normal(d)
+        out.append(pytest.param(pts, id=f"pair_1e-10_d{d}"))
+    out.append(pytest.param(_jittered_ngon(rng, 6, 3), id="jittered_hexagon"))
     return out
+
+
+def _jittered_ngon(rng, n: int, d: int) -> np.ndarray:
+    """Radius-1 regular n-gon in the first two coordinates, jittered by 1e-7."""
+    angle = 2.0 * math.pi * np.arange(n) / n
+    pts = np.zeros((n, d))
+    pts[:, 0], pts[:, 1] = np.cos(angle), np.sin(angle)
+    return pts + 1e-7 * rng.standard_normal((n, d))
+
+
+def _degenerate_stream(seed: int, count: int):
+    """Seeded mix of jittered n-gons, sets with a pair 1e-10 apart and uniform sets."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, d, kind = int(rng.integers(3, 7)), int(rng.integers(2, 4)), int(rng.integers(0, 3))
+        if kind == 0:
+            yield _jittered_ngon(rng, n, d)
+            continue
+        pts = rng.random((n, d))
+        if kind == 1:
+            pts[1] = pts[0] + 1e-10 * rng.standard_normal(d)
+        yield pts
 
 
 class TestLowerBound:
@@ -422,6 +452,29 @@ class TestLowerBound:
         X, nb, edg = _embeddings_after(pts, topologies, 50)
         lb = _lower_bounds(X, nb, edg, 3, 1e-9)
         assert lb[0] == pytest.approx(EQUILATERAL_LENGTH, abs=1e-12)
+
+    def test_bound_is_tight_at_a_collapsed_branch(self):
+        # The obtuse corner holds more than 120 degrees, so the branch node
+        # collapses onto it and one edge has length zero.
+        pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 0.05)])
+        X, nb, edg = _embeddings_after(pts, enumerate_full_topologies(3), 50)
+        scale = instance_scale(pts)
+        assert np.array_equal(X[0, 3], pts[2])
+        lb = _lower_bounds(X, nb, edg, 3, DEFAULT_TOL.eps_len * scale)
+        gap = steiner._total_lengths(X, edg)[0] - lb[0]
+        assert 0.0 <= gap <= DEFAULT_TOL.eps_len * scale
+
+    def test_winners_certified_on_degenerate_stream(self):
+        # Jittered n-gons, pairs 1e-10 apart and uniform sets: every winner's
+        # bound stays below its length, and the duality gap certifies every
+        # winner within eps_len * scale.
+        unconverged = set()
+        for i, pts in enumerate(_degenerate_stream(7, 300)):
+            res = solve_exact(pts)
+            assert res.gap >= -1e-12 * instance_scale(pts), i
+            if not res.tree.converged:
+                unconverged.add(i)
+        assert unconverged == set()
 
     @pytest.mark.parametrize("n,d,seed", [(5, 2, 31), (5, 3, 32), (6, 2, 33)])
     def test_solve_exact_matches_best_single_relaxation(self, n, d, seed):
