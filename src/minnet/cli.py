@@ -52,7 +52,6 @@ from .mdm import (
     NumericConfig,
     coverage_check,
     energetic_points,
-    horseshoe_circle,
     horseshoe_stadium,
     resample_path_network,
     sample_compact,
@@ -217,10 +216,7 @@ def _initial_network(desc, r: float, seed: int | None) -> MdmNetwork:
     a small jitter so ties between symmetric local minima can be broken.
     """
     diam = max(desc.diameter(), 2.0 * r)
-    if desc.kind == "circle" and desc.radius > r:
-        net = horseshoe_circle(desc.radius, r)[0]
-        net = resample_path_network(net, max(24, min(120, int(6.0 * diam / r))))
-    elif desc.kind == "stadium" and desc.radius > r:
+    if desc.kind in ("circle", "stadium") and desc.radius > r:  # a circle's seg_len is 0.0
         net = horseshoe_stadium(desc.radius, r, desc.seg_len)[0]
         net = resample_path_network(net, max(24, min(120, int(6.0 * diam / r))))
     else:
@@ -313,9 +309,7 @@ def _cmd_mdm_solve(args) -> int:
 
 def _require_round_boundary(inst) -> tuple[float, float, float]:
     desc = inst.descriptor
-    if desc.kind == "circle":
-        return desc.radius, inst.r, 0.0
-    if desc.kind == "stadium":
+    if desc.kind in ("circle", "stadium"):  # a circle's seg_len is 0.0
         return desc.radius, inst.r, desc.seg_len
     raise IoError(
         f"field 'descriptor.kind': this subcommand needs a circle or stadium boundary, got {desc.kind!r}"
@@ -327,7 +321,7 @@ def _cmd_mdm_horseshoe(args) -> int:
     inst = _load_instance(args, "mdm")
     R, r, L = _require_round_boundary(inst)
     t0 = time.perf_counter()
-    net, _ = horseshoe_stadium(R, r, L) if L > 0 else horseshoe_circle(R, r)
+    net, _ = horseshoe_stadium(R, r, L)
     return _finish_mdm(args, inst, net, tol, {"name": "horseshoe", "iterations": GAP_EVALUATIONS}, t0)
 
 

@@ -3,10 +3,10 @@ a given compact set M.
 
 Three solver flavors live here.  ``horseshoe_circle``/``horseshoe_stadium``
 build the one-parameter parallel-curve-with-gap family analytically and
-minimize over the gap.  ``solve_mdm_finite`` handles finite M exactly in
-spirit: it relaxes every full topology with the Steiner solver's sweep
-driver (``steiner._gs_sweeps``), its leaves free in the balls around the
-given points and its branch nodes at exact Fermat points.
+minimize over the gap.  ``solve_mdm_finite`` handles finite M: a Steiner
+tree whose terminals are the r-balls around the given points, relaxed over
+every full topology by the exact Steiner solver's pipeline
+(``steiner._relax_batch``) with each leaf free in its ball.
 ``solve_mdm_numeric`` is a penalty method over a sampled M with topology
 surgery between epochs; it is the hammer for sets with no usable structure.
 
@@ -33,16 +33,7 @@ from .geometry import (
     angle_at,
     fermat_point,
 )
-from .steiner import (
-    _contract,
-    _gs_sweeps,
-    _harmonic_init,
-    _labels,
-    _norm,
-    _tables,
-    _total_lengths,
-    instance_scale,
-)
+from .steiner import _contract, _labels, _norm, _relax_batch, instance_scale
 from .topology import enumerate_full_topologies
 
 __all__ = [
@@ -658,11 +649,9 @@ def _merge_terminals(pts: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]
     a center is sufficient to cover every clustered point.  Overlapping balls
     with no common point stay unmerged — still sound, possibly suboptimal.
     """
-    n = len(pts)
-    close = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    close = [(i, j) for i, j in close if np.linalg.norm(pts[i] - pts[j]) <= 2.0 * r]
+    i, j = np.triu_indices(len(pts), 1)
+    lab = _labels(len(pts), np.column_stack([i, j])[np.linalg.norm(pts[i] - pts[j], axis=1) <= 2.0 * r])
     centers, radii = [], []
-    lab = _labels(n, close)
     for members in (np.flatnonzero(lab == root) for root in np.unique(lab)):
         cluster = pts[members]
         c, rad = _miniball(cluster)
@@ -683,18 +672,11 @@ def solve_mdm_finite(
 
     Enumerates full topologies over the effective terminals (ball clusters
     with a common point collapse to one fat terminal) and relaxes them as
-    one batch with :func:`steiner._gs_sweeps`, whose leaves move to the
-    nearest point of their ball and whose branch nodes move to exact Fermat
-    points.  A topology leaves the batch once a sweep moves none of its
-    nodes by more than 1e-12 of the scale, or after 3000 sweeps; nothing
-    certifies the winner yet.  Sweeps can stall where a branch node lands
-    on a leaf that sits on its sphere, though the optimum wants the branch
-    node inside the ball: the result is then not optimal.  On the
-    benchmark's n = 6 set (r = 1) it returns 11.98341 where a valid network
-    of length 11.56315 exists, 3.6 % shorter; on the acceptance suite's
-    seeded n = 3-6 draws it is up to 1.05 % above a leaf-eliminated
-    reference.  ``tol`` is accepted for a uniform solver signature and has
-    no effect.
+    one batch through the exact solver's pipeline, :func:`steiner._relax_batch`,
+    each terminal a ball: sweeps, the duality-gap bound, and the Newton
+    finisher on the leaf-eliminated length until no uncertified topology can
+    beat the shortest.  ``tol`` sets that certificate: ``eps_len`` times the
+    centres' diameter, and ``eps_tie`` for pruning.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -715,27 +697,9 @@ def solve_mdm_finite(
         return MdmNetwork(np.array([c1 + radii[0] * u, c2 - radii[1] * u]), [(0, 1)])
 
     topologies = enumerate_full_topologies(k)
-    nb, edg = _tables(topologies, k)
-    T = len(topologies)
-    tnbr = np.empty((T, k), dtype=np.int64)
-    for t, topo in enumerate(topologies):
-        for i in range(k):
-            tnbr[t, i] = topo.neighbors(i)[0]
-
-    scale = max(instance_scale(centers), 2.0 * r)
-    d = centers.shape[1]
-    X = np.empty((T, 2 * k - 2, d))
-    centroid = centers.mean(axis=0)
-    v0 = centroid[None] - centers
-    n0 = np.linalg.norm(v0, axis=1)
-    u0 = v0 / np.where(n0 == 0.0, 1.0, n0)[:, None]
-    X[:, :k] = (centers + radii[:, None] * u0)[None]
-    X[:, k:] = _harmonic_init(X[0, :k], nb)
-
-    move_target = max(1e-12 * scale, 1e-300)
-    _gs_sweeps(X, nb, k, move_target, 3000, balls=(centers, radii, tnbr))
-    best = int(np.argmin(_total_lengths(X, edg)))
-    return MdmNetwork(X[best].copy(), [tuple(e) for e in edg[best]])
+    X, lengths, *_ = _relax_batch(centers, topologies, tol, radii=radii)
+    best = int(np.argmin(lengths))
+    return MdmNetwork(X[best].copy(), topologies[best].edges)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,18 +1011,17 @@ def energetic_points(
     m_samples,
     r: float,
     tol: ToleranceConfig = DEFAULT_TOL,
-    band: float = _ENERGETIC_BAND,
 ) -> EnergeticSet:
     """Network points realizing distance ~ r to some witness in M.
 
     A sample y is a witness when its distance to the network lies in
-    [r - band*r, r + coverage slack]; the nearest network point x is then
-    energetic.  Nearby x's are deduplicated.
+    [r - _ENERGETIC_BAND*r, r + coverage slack]; the nearest network point
+    x is then energetic.  Nearby x's are deduplicated.
     """
     samples = np.asarray(m_samples, dtype=float)
     d, p = _closest_on_network(net, samples)
     scale = max(instance_scale(samples), r)
-    lo = r - band * r
+    lo = r - _ENERGETIC_BAND * r
     hi = r + tol.coverage_eps * scale
     keep = (d >= lo) & (d <= hi)
     dedupe = tol.eps_len * max(instance_scale(net.vertices), r)

@@ -8,7 +8,9 @@ nodes with one batched kernel call, which is node-by-node Gauss-Seidel, and
 recomputes only nodes with a neighbour that moved since their last update.
 Total length is convex in the branch coordinates, and each node update is
 the exact block minimizer, so the sweep never increases length.  The exact
-solver, the heuristic and ``mdm.solve_mdm_finite`` all relax through it.
+solver and the heuristic relax through it.  :func:`_relax_batch` (sweeps,
+certificate, finisher) relaxes point terminals and the balls of
+``mdm.solve_mdm_finite``, each leaf free in its ball, alike.
 
 One certificate decides both convergence and pruning: the weak-duality
 bound of :func:`_lower_bounds`, LB <= L* for the topology's optimal length
@@ -23,10 +25,11 @@ as a block, and crawls where short edges couple branch nodes stiffly.  One
 finisher handles both: damped Newton on the smoothed length
 sum_e sqrt(l_e^2 + eps^2) over all branch nodes, batched over the
 uncertified topologies, with eps driven toward machine scale.  It never
-lengthens a topology, so monotonicity holds.  The finisher runs only on
-topologies near the running minimum; far-from-minimal stalls keep an honest
-``converged=False`` and a length that is a slight overestimate (upper bound)
-of their true optimum.
+lengthens a topology, so monotonicity holds.  With point terminals the
+finisher runs only on topologies near the running minimum; far-from-minimal
+stalls keep an honest ``converged=False`` and a length that is a slight
+overestimate (upper bound) of their true optimum.  With ball terminals it
+runs on every topology whose bound can still beat the shortest length.
 
 :func:`solve_exact` sweeps all full topologies as one batch (they share the
 same array shapes for a given terminal count), and each topology retires
@@ -70,6 +73,10 @@ __all__ = [
 MIN_BRANCH_ANGLE = 2.0 * np.pi / 3.0
 _DUAL_ROUNDS = 5  # clip-and-project rounds of the dual certificate
 _WEIGHT_FLOOR = 1e-3  # shortest edge a dual weight sees, in units of degen
+_MAX_SWEEPS = 3000  # sweep cap of one batch relaxation
+# Sweep cap with ball terminals: Newton finishes every topology whose bound can
+# win, and past a few dozen sweeps a leaf and a branch node on its sphere crawl.
+_BALL_SWEEPS = 50
 
 
 def _as_terminal_array(points) -> np.ndarray:
@@ -204,17 +211,12 @@ def _harmonic_init(terminals: np.ndarray, nb: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lap, rhs)
 
 
-def _edge_lengths(X: np.ndarray, edg: np.ndarray) -> np.ndarray:
-    t_idx = np.arange(X.shape[0])[:, None]
-    seg = X[t_idx, edg[:, :, 0]] - X[t_idx, edg[:, :, 1]]
-    return np.linalg.norm(seg, axis=2)
-
-
 def _total_lengths(X: np.ndarray, edg: np.ndarray) -> np.ndarray:
-    return _edge_lengths(X, edg).sum(axis=1)
+    t_idx = np.arange(X.shape[0])[:, None]
+    return np.linalg.norm(X[t_idx, edg[:, :, 0]] - X[t_idx, edg[:, :, 1]], axis=2).sum(axis=1)
 
 
-def _lower_bounds(X, nb, edg, n: int, degen: float) -> np.ndarray:
+def _lower_bounds(X, edg, n: int, degen: float, balls=None) -> np.ndarray:
     """Certified lower bound on each topology's optimal length, from embedding X.
 
     Weak duality for a sum of norms (the dual of Xue & Ye, SIAM J. Optim. 7,
@@ -230,21 +232,24 @@ def _lower_bounds(X, nb, edg, n: int, degen: float) -> np.ndarray:
     vectors and the bound equals L.  The divergence r_i that rounding leaves
     at branch node i is bounded over the terminals' convex hull, where an
     optimal embedding lies: ``L* >= sum_e u_e . D_e + sum_i min_t r_i.(p_t - x_i)``.
-    The bound reads the topology from ``edg`` alone; ``nb`` is not used.
+
+    Given ``balls`` as for :func:`_gs_sweeps`, leaf t is free in B(c_t, rho_t):
+    its part x_t . div_t is at least c_t . div_t - rho_t |div_t|, and the hull
+    term becomes min_t r_i . (c_t - x_i) - rho_t |r_i|.  For fixed terminals,
+    c_t = x_t and rho_t = 0, both extra terms are exactly 0.0 and are skipped.
     """
     T, m, _ = X.shape
-    s = m - n
     e_idx = np.arange(edg.shape[1])
     t_idx = np.arange(T)[:, None]
     delta = X[t_idx, edg[..., 0]] - X[t_idx, edg[..., 1]]
     ell = np.linalg.norm(delta, axis=2)
     u = np.where((ell > degen)[..., None], delta / np.maximum(ell, degen)[..., None], 0.0)
     w = 1.0 / np.maximum(ell, _WEIGHT_FLOOR * degen)[..., None]
-    # Signed incidence of the branch nodes; terminal ends go to a dropped row s.
-    B = np.zeros((T, s + 1, edg.shape[1]))
-    B[t_idx, np.where(edg[..., 0] >= n, edg[..., 0] - n, s), e_idx] = 1.0
-    B[t_idx, np.where(edg[..., 1] >= n, edg[..., 1] - n, s), e_idx] = -1.0
-    B = B[:, :s]
+    # Signed incidence of every node; B holds the branch rows.
+    full = np.zeros((T, m, edg.shape[1]))
+    full[t_idx, edg[..., 0], e_idx] = 1.0
+    full[t_idx, edg[..., 1], e_idx] = -1.0
+    B = full[:, n:]
     Bt = B.transpose(0, 2, 1)
     lap = B @ (w * Bt)
     for k in range(_DUAL_ROUNDS + 1):
@@ -252,9 +257,23 @@ def _lower_bounds(X, nb, edg, n: int, degen: float) -> np.ndarray:
         if k < _DUAL_ROUNDS:
             u /= np.maximum(np.linalg.norm(u, axis=2), 1.0)[..., None]
     u /= np.linalg.norm(u, axis=2).max(axis=1)[:, None, None]
+    r = B @ u
+    centers = X[:, :n] if balls is None else np.broadcast_to(balls[0], X[:, :n].shape)
     # min over the hull of r_i . (y_i - x_i) is attained at a terminal.
-    drop = np.einsum("tsd,tsnd->tsn", B @ u, X[:, None, :n, :] - X[:, n:, None, :]).min(axis=2)
-    return (u * delta).sum(axis=(1, 2)) + drop.sum(axis=1)
+    drop = np.einsum("tsd,tsnd->tsn", r, centers[:, None] - X[:, n:, None, :])
+    if balls is None:
+        return (u * delta).sum(axis=(1, 2)) + drop.min(axis=2).sum(axis=1)
+    div = full[:, :n] @ u
+    leaf = (div * (centers - X[:, :n])).sum(axis=2) - balls[1] * np.linalg.norm(div, axis=2)
+    drop = (drop - balls[1] * np.linalg.norm(r, axis=2)[..., None]).min(axis=2)
+    return (u * delta).sum(axis=(1, 2)) + drop.sum(axis=1) + leaf.sum(axis=1)
+
+
+def _nearest_in_balls(Y: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """The point of each ball B(centers[i], radii[i]) nearest ``Y[..., i, :]``."""
+    v = Y - centers
+    dist = np.linalg.norm(v, axis=-1)
+    return centers + (np.minimum(dist, radii) / np.where(dist == 0.0, 1.0, dist))[..., None] * v
 
 
 def _colour_classes(nb: np.ndarray, n: int) -> np.ndarray:
@@ -324,8 +343,6 @@ def _gs_sweeps(
     if certify is not None:
         pruned, degen, eps_tie = certify
         best = _total_lengths(X, edg)
-    if balls is not None:
-        centers, radii, leaf_nbr = balls
     sweeps = 0
     classes = None
     while sweeps < max_sweeps and len(act):
@@ -334,10 +351,7 @@ def _gs_sweeps(
             classes = [(rows, n + i, nba[rows, i]) for rows, i in split if len(rows)]
         keep = np.zeros(len(act), dtype=bool)
         if balls is not None:
-            v = Xa[np.arange(len(act))[:, None], leaf_nbr[act]] - centers
-            dist = np.linalg.norm(v, axis=2)
-            reach = np.minimum(dist, radii) / np.where(dist == 0.0, 1.0, dist)
-            new = centers + reach[..., None] * v
+            new = _nearest_in_balls(Xa[np.arange(len(act))[:, None], balls[2][act]], *balls[:2])
             stirred[:, :n] = np.linalg.norm(new - Xa[:, :n], axis=2) > move_target
             keep = stirred[:, :n].any(axis=1)
             Xa[:, :n] = new
@@ -363,7 +377,7 @@ def _gs_sweeps(
             cutoff = best.min() * (1.0 + eps_tie)
             far = np.flatnonzero(keep & (best[act] > cutoff))
             if len(far):
-                dead = far[_lower_bounds(Xa[far], nba[far], edg[act[far]], n, degen) > cutoff]
+                dead = far[_lower_bounds(Xa[far], edg[act[far]], n, degen, balls) > cutoff]
                 pruned[act[dead]] = True
                 keep[dead] = False
         if not keep.all() and sweeps < max_sweeps:
@@ -398,7 +412,7 @@ def _cluster_roots(T: int, m: int, t, a, b) -> np.ndarray:
     return _labels(T * m, pairs).reshape(T, m) - offset[:, None]
 
 
-def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float) -> None:
+def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float, balls=None) -> None:
     """Damped Newton on the smoothed length of the topologies in ``rows``, in place.
 
     Coordinate descent stalls where coincident branch nodes want to move as
@@ -414,6 +428,11 @@ def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float)
     eps apart, so each cluster of nodes joined by edges <= ``degen`` is then
     snapped onto its first terminal, or onto its mean if it holds none,
     wherever that does not lengthen the topology.
+
+    Given ``balls`` as for :func:`_gs_sweeps`, each iterate's leaves sit at
+    the points of their balls B(c, rho) nearest their branch nodes y, so a leaf
+    edge is sqrt(max(0, q - rho)^2 + eps^2), q = |y - c|, with Hessian block
+    eps^2 / l^3 along w = (y - c) / q and max(0, q - rho) / (q l) across it.
     """
     Y = X[rows]
     F, _, d = Y.shape
@@ -426,10 +445,15 @@ def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float)
     def segments(Z):
         return Z[f_idx, ends[..., 0]] - Z[f_idx, ends[..., 1]]
 
+    def place(Z):
+        if balls is not None:
+            Z[:, :n] = _nearest_in_balls(Z[f_idx, balls[2][rows]], balls[0], balls[1])
+        return Z
+
     def smoothed(Z, eps2):
         return np.sqrt((segments(Z) ** 2).sum(axis=2) + eps2).sum(axis=1)
 
-    best, best_len = Y.copy(), _total_lengths(Y, ends)
+    best, best_len = place(Y).copy(), _total_lengths(Y, ends)
     for k in range(3, 15):
         eps2 = (10.0**-k * scale) ** 2
         fval = smoothed(Y, eps2)
@@ -441,6 +465,13 @@ def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float)
             np.add.at(g, (f_idx, a), u)
             np.add.at(g, (f_idx, b), -u)
             P = (np.eye(d) - u[..., :, None] * u[..., None, :]) / ell[..., None, None]
+            if balls is not None:
+                e = segments(np.concatenate([np.broadcast_to(balls[0], (F, n, d)), Y[:, n:]], axis=1))
+                q = np.linalg.norm(e, axis=2)[..., None, None]
+                q1 = np.where(q > 0.0, q, 1.0)
+                w = e[..., :, None] * e[..., None, :] / (q1 * q1)
+                across = np.where(q > 0.0, np.linalg.norm(seg, axis=2)[..., None, None] / q1, 1.0)
+                P = (across * (np.eye(d) - w) + eps2 / ell[..., None, None] ** 2 * w) / ell[..., None, None]
             H = np.zeros((F, s + 1, s + 1, d, d))
             for i, j, sign in ((a, a, 1.0), (b, b, 1.0), (a, b, -1.0), (b, a, -1.0)):
                 np.add.at(H, (f_idx, i, j), sign * P)
@@ -453,17 +484,19 @@ def _newton_finish(X, edg, n: int, rows: np.ndarray, scale: float, degen: float)
                 break
             t = np.ones(F)
             pending = np.ones(F, dtype=bool)
+            f_prev = fval.copy()
             for _ in range(50):
                 trial = Y.copy()
                 trial[:, n:] += t[:, None, None] * step
-                ftrial = smoothed(trial, eps2)
+                ftrial = smoothed(place(trial), eps2)
                 take = pending & (ftrial <= fval)
                 Y[take], fval[take] = trial[take], ftrial[take]
                 pending &= ~take
                 if not pending.any():
                     break
                 t[pending] *= 0.5
-            if pending.all():
+            # With balls, a step that no longer shortens ends this eps.
+            if pending.all() or (balls is not None and not (fval < f_prev).any()):
                 break
             cur = _total_lengths(Y, ends)
             better = cur <= best_len
@@ -486,8 +519,8 @@ def _relax_batch(
     terminals: np.ndarray,
     topologies: list[Topology],
     tol: ToleranceConfig,
-    max_sweeps: int,
     record_trace: bool = False,
+    radii: np.ndarray | None = None,
 ):
     """Relax every topology of one batch.
 
@@ -497,6 +530,10 @@ def _relax_batch(
     most ``eps_len * scale``, so the length is certified within that of the
     topology's optimum.  ``pruned`` marks unconverged topologies whose lower
     bound exceeds the shortest length by more than ``eps_tie``.
+
+    Given ``radii``, terminal i is the ball B(terminals[i], radii[i]), and
+    uncertified topologies are finished one at a time, lowest bound first,
+    while a bound is within ``eps_tie`` of the shortest length.
     """
     n, d = terminals.shape
     s = n - 2
@@ -515,35 +552,44 @@ def _relax_batch(
     trace: list | None = [] if record_trace else None
     move_target = 1e-12 * scale
     degen = max(tol.eps_len * scale, 1e-300)
+    balls = None
+    if radii is not None:  # terminal i ends one edge: the first n sorted ends are 0..n-1
+        first = edg.reshape(T, -1).argsort(axis=1)[:, :n]
+        balls = (terminals, radii, np.take_along_axis(edg[..., ::-1].reshape(T, -1), first, axis=1))
 
-    sweeps = _gs_sweeps(
-        X, nb, n, move_target, max_sweeps, edg, trace, (pruned, degen, tol.eps_tie)
-    )
+    cap = _MAX_SWEEPS if balls is None else _BALL_SWEEPS
+    sweeps = _gs_sweeps(X, nb, n, move_target, cap, edg, trace, (pruned, degen, tol.eps_tie), balls)
     lengths = _total_lengths(X, edg)
-    lb = _lower_bounds(X, nb, edg, n, degen)
-    # Only topologies near the current best length matter downstream, so
-    # the finisher skips far-from-minimal ones and certified non-minimal
-    # ones; those keep an honest converged=False.
-    near = lengths <= lengths.min() * (1.0 + 1e-3)
-    flagged = np.flatnonzero((lengths - lb > tol.eps_len * scale) & ~pruned & near)
-    if len(flagged):
-        _newton_finish(X, edg, n, flagged, scale, degen)
-        lengths = _total_lengths(X, edg)
-        lb[flagged] = _lower_bounds(X[flagged], nb[flagged], edg[flagged], n, degen)
+    lb = _lower_bounds(X, edg, n, degen, balls)
+    open_ = (lengths - lb > tol.eps_len * scale) & ~pruned
+    if balls is None:
+        # Only topologies near the current best length matter downstream, so
+        # the finisher skips far-from-minimal ones and certified non-minimal
+        # ones; those keep an honest converged=False.
+        flagged = np.flatnonzero(open_ & (lengths <= lengths.min() * (1.0 + 1e-3)))
+        if len(flagged):
+            _newton_finish(X, edg, n, flagged, scale, degen)
+            lengths = _total_lengths(X, edg)
+            lb[flagged] = _lower_bounds(X[flagged], edg[flagged], n, degen)
+    else:
+        while (due := np.flatnonzero(open_ & (lb <= lengths.min() * (1.0 + tol.eps_tie)))).size:
+            row = due[[np.argmin(lb[due])]]
+            _newton_finish(X, edg, n, row, scale, degen, balls)
+            lengths[row] = _total_lengths(X[row], edg[row])
+            lb[row] = _lower_bounds(X[row], edg[row], n, degen, balls)
+            open_[row] = False
     gaps = lengths - lb
     converged = gaps <= tol.eps_len * scale
     pruned = (pruned | (lb > lengths.min() * (1.0 + tol.eps_tie))) & ~converged
     if trace is not None and (not trace or np.any(trace[-1] != lengths)):
         trace.append(lengths)  # the finisher runs outside the sweep loop
-    traces = trace if record_trace else None
-    return X, lengths, converged, gaps, traces, pruned, sweeps
+    return X, lengths, converged, gaps, trace, pruned, sweeps
 
 
 def relax_topology(
     terminals,
     topology: Topology,
     tol: ToleranceConfig = DEFAULT_TOL,
-    max_sweeps: int = 3000,
 ) -> EmbeddedTree:
     """Optimal embedding of one full topology (terminals fixed, branches free)."""
     pts = _as_terminal_array(terminals)
@@ -557,9 +603,7 @@ def relax_topology(
     if n == 2:
         length = float(np.linalg.norm(pts[0] - pts[1]))
         return EmbeddedTree(topology, pts, np.empty((0, pts.shape[1])), length, True, (length,))
-    X, lengths, converged, _, traces, _, _ = _relax_batch(
-        pts, [topology], tol, max_sweeps, record_trace=True
-    )
+    X, lengths, converged, _, traces, _, _ = _relax_batch(pts, [topology], tol, record_trace=True)
     trace = tuple(float(t[0]) for t in traces) if traces else ()
     return EmbeddedTree(
         topology, pts, X[0, n:].copy(), float(lengths[0]), bool(converged[0]), trace
@@ -602,7 +646,6 @@ def solve_exact(
     terminals,
     tol: ToleranceConfig = DEFAULT_TOL,
     n_max: int = 9,
-    max_sweeps: int = 3000,
 ) -> SolveResult:
     """Shortest terminal-spanning network by exhaustion over full topologies.
 
@@ -621,7 +664,7 @@ def solve_exact(
         return SolveResult(tree, [topo], 1, 0)
 
     topologies = enumerate_full_topologies(n, n_max=n_max)
-    X, lengths, converged, gaps, _, pruned, sweeps = _relax_batch(pts, topologies, tol, max_sweeps)
+    X, lengths, converged, gaps, _, pruned, sweeps = _relax_batch(pts, topologies, tol)
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))

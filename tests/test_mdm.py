@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 from scipy.spatial.distance import pdist
 
 from minnet.geometry import DEFAULT_TOL, _closest_points, angle_at, point_segment_distances
@@ -23,10 +24,11 @@ from minnet.mdm import (
     stadium_competitor,
     verify_mdm,
 )
-from minnet import mdm
+from minnet import mdm, steiner
 from minnet.mdm import _closest_on_network, _gapped_parallel, _tangent_length
 from minnet.ratio import mst
 from minnet.steiner import instance_scale, solve_exact
+from minnet.topology import enumerate_full_topologies
 
 TOL = DEFAULT_TOL
 
@@ -37,6 +39,19 @@ HORSESHOE_R6_LENGTH = 30.192319998510747
 HORSESHOE_STADIUM_R6_LENGTH = 34.192319998722  # circle value + both straights
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+
+# The benchmark's n = 6 finite set, separated_points("finite", 6, 8.0, 2.5)
+# of bench/workloads.py.  With r = 1 a network of length 11.56315 covers it.
+BENCH_SIX = np.array(
+    [
+        [5.430174820041472, 0.27798570489060914],
+        [2.760804046381865, 7.643805783009964],
+        [0.9912059277533878, 1.1283667813778209],
+        [7.347750830285559, 5.017699200801945],
+        [7.970967433200982, 1.9938058505974467],
+        [4.0962239757892105, 2.723452434944911],
+    ]
+)
 
 
 def _circle_samples(radius, n=720):
@@ -443,6 +458,102 @@ class TestSolveMdmFinite:
         assert net.length >= steiner - n * r - 1e-9
         rep = verify_mdm(net, n, TOL)
         assert rep.bound_ok and not rep.has_cycle
+
+
+def _criterion_08_draws():
+    """Acceptance criterion 08's seeded draws: n = 3-6 points, disjoint r-balls."""
+    rng = np.random.default_rng(8)
+    draws = []
+    for _ in range(100):
+        pts = rng.random((int(rng.integers(3, 7)), 2))
+        draws.append((pts, 0.3 * float(pdist(pts).min()) / 2.0))
+    return draws
+
+
+def _leaf_eliminated_reference(pts: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(draws, topologies) lengths of every full topology of draws sharing n.
+
+    The leaves are eliminated: an edge from branch node y to the ball
+    B(p, r) counts max(0, |y - p| - r).  One L-BFGS-B run covers every
+    topology of every draw, on the length smoothed as sqrt(h^2 + eps^2) with
+    eps stepping down to 1e-9; the unsmoothed length at its end is a
+    network's length, so it is at least the topology's optimum.
+    """
+    N, n, d = pts.shape
+    edg = np.array([topo.edges for topo in enumerate_full_topologies(n)])
+    T, s, E = len(edg), n - 2, 2 * n - 3
+    t_idx = np.arange(T)[:, None]
+    inc = np.zeros((T, n + s, E))
+    inc[t_idx, edg[..., 0], np.arange(E)] = 1.0
+    inc[t_idx, edg[..., 1], np.arange(E)] = -1.0
+    rho = (edg < n).any(axis=2)[None] * radii[:, None, None]
+
+    def edges(flat, eps):
+        Z = np.concatenate([np.broadcast_to(pts[:, None], (N, T, n, d)), flat.reshape(N, T, s, d)], axis=2)
+        e = Z[:, t_idx, edg[..., 0]] - Z[:, t_idx, edg[..., 1]]
+        q = np.linalg.norm(e, axis=3)
+        h = np.maximum(q - rho, 0.0)
+        return e, q, h, np.sqrt(h * h + eps * eps)
+
+    def smoothed(flat, eps):
+        e, q, h, ell = edges(flat, eps)
+        u = e * (h / ell / np.where(q == 0.0, 1.0, q))[..., None]
+        return ell.sum(), (inc[:, n:] @ u).ravel()
+
+    start = pts.mean(axis=1)[:, None, None] + 1e-3 * np.random.default_rng(0).standard_normal((N, T, s, d))
+    x = start.ravel()
+    for eps in (1e-2, 1e-4, 1e-6, 1e-9):
+        x = minimize(
+            smoothed, x, args=(eps,), jac=True, method="L-BFGS-B",
+            options={"maxiter": 200, "ftol": 0.0, "gtol": 1e-12},
+        ).x
+    return edges(x, 0.0)[2].sum(axis=2)
+
+
+@pytest.fixture(scope="module")
+def criterion_08_reference():
+    """Each criterion 08 draw with its reference length per topology."""
+    draws = _criterion_08_draws()
+    out = [None] * len(draws)
+    for n in (3, 4, 5, 6):
+        idx = [i for i, (pts, _) in enumerate(draws) if len(pts) == n]
+        pts = np.array([draws[i][0] for i in idx])
+        ref = _leaf_eliminated_reference(pts, np.array([draws[i][1] for i in idx]))
+        for i, row in zip(idx, ref):
+            out[i] = (*draws[i], row)
+    return out
+
+
+class TestFiniteSolverOptimality:
+    """solve_mdm_finite against a leaf-eliminated reference it shares no code with."""
+
+    def test_never_longer_than_reference(self, criterion_08_reference):
+        for i, (pts, r, ref) in enumerate(criterion_08_reference):
+            length = solve_mdm_finite(pts, r, TOL).length
+            assert length <= ref.min() + TOL.eps_len * instance_scale(pts), i
+
+    def test_ball_bound_below_reference_on_every_topology(self, criterion_08_reference):
+        # The bounds after the sweeps and the finisher, which decide pruning
+        # and convergence, and at the first sweeps, where pruning starts.
+        for i, (pts, r, ref) in enumerate(criterion_08_reference):
+            n = len(pts)
+            topologies = enumerate_full_topologies(n)
+            _, lengths, _, gaps, *_ = steiner._relax_batch(pts, topologies, TOL, radii=np.full(n, r))
+            slack = 1e-12 * instance_scale(pts)
+            assert np.all(lengths - gaps <= ref + slack), i
+            nb, edg = steiner._tables(topologies, n)
+            leaf_nbr = np.array([[topo.neighbors(j)[0] for j in range(n)] for topo in topologies])
+            balls = (pts, np.full(n, r), leaf_nbr)
+            X = np.concatenate([np.broadcast_to(pts, (len(topologies), n, 2)), steiner._harmonic_init(pts, nb)], axis=1)
+            degen = TOL.eps_len * instance_scale(pts)
+            for sweeps in (1, 4):  # after sweeps 1 and 5
+                steiner._gs_sweeps(X, nb, n, 0.0, sweeps, balls=balls)
+                assert np.all(steiner._lower_bounds(X, edg, n, degen, balls) <= ref + slack), (i, sweeps)
+
+    def test_benchmark_six_point_set(self):
+        net = solve_mdm_finite(BENCH_SIX, 1.0, TOL)
+        assert net.length <= 11.5632
+        assert coverage_check(net, BENCH_SIX, 1.0, TOL).covered
 
 
 def _dense_objective(V, E, samples, r, mu):

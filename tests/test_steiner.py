@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from minnet import experiments, mdm, steiner
+from minnet import experiments, steiner
 from minnet.experiments import heuristic_steiner, hex_lattice_instance, random_instance
 from minnet.geometry import (
     DEFAULT_TOL,
@@ -366,7 +366,7 @@ def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certif
             cutoff = best.min() * (1.0 + eps_tie)
             far = np.flatnonzero(keep & (best[act] > cutoff))
             if len(far):
-                dead = far[_lower_bounds(Xa[far], nba[far], edg[act[far]], n, degen) > cutoff]
+                dead = far[_lower_bounds(Xa[far], edg[act[far]], n, degen, balls) > cutoff]
                 pruned[act[dead]] = True
                 keep[dead] = False
         if not keep.all() and sweeps < max_sweeps:
@@ -443,14 +443,14 @@ class TestLowerBound:
         degen = DEFAULT_TOL.eps_len * scale
         for sweeps in (1, 5, 20, 200):
             X, nb, edg = _embeddings_after(pts, topologies, sweeps)
-            lb = _lower_bounds(X, nb, edg, n, degen)
+            lb = _lower_bounds(X, edg, n, degen)
             assert np.all(lb <= ref + 1e-12 * scale), (sweeps, (lb - ref).max())
 
     def test_bound_is_tight_at_the_optimum(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
         topologies = enumerate_full_topologies(3)
         X, nb, edg = _embeddings_after(pts, topologies, 50)
-        lb = _lower_bounds(X, nb, edg, 3, 1e-9)
+        lb = _lower_bounds(X, edg, 3, 1e-9)
         assert lb[0] == pytest.approx(EQUILATERAL_LENGTH, abs=1e-12)
 
     def test_bound_is_tight_at_a_collapsed_branch(self):
@@ -460,7 +460,7 @@ class TestLowerBound:
         X, nb, edg = _embeddings_after(pts, enumerate_full_topologies(3), 50)
         scale = instance_scale(pts)
         assert np.array_equal(X[0, 3], pts[2])
-        lb = _lower_bounds(X, nb, edg, 3, DEFAULT_TOL.eps_len * scale)
+        lb = _lower_bounds(X, edg, 3, DEFAULT_TOL.eps_len * scale)
         gap = steiner._total_lengths(X, edg)[0] - lb[0]
         assert 0.0 <= gap <= DEFAULT_TOL.eps_len * scale
 
@@ -1061,5 +1061,5 @@ class TestActiveSet:
     def test_finite_solver_matches_full_sweeps(self, n, seed, monkeypatch):
         pts = np.random.default_rng(seed).uniform(0.0, 8.0, (n, 2))
         length = solve_mdm_finite(pts, 1.0).length
-        monkeypatch.setattr(mdm, "_gs_sweeps", _full_sweeps)
+        monkeypatch.setattr(steiner, "_gs_sweeps", _full_sweeps)
         assert length == pytest.approx(solve_mdm_finite(pts, 1.0).length, rel=1e-9)
