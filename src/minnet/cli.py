@@ -298,7 +298,8 @@ def _cmd_mdm_solve(args) -> int:
     out = solve_mdm_numeric(desc, r, init, config=cfg, tol=tol)
     solver = {
         "name": "numeric",
-        "iterations": len(out.objective_trace),
+        # The trace holds each epoch's starting value and one value per step.
+        "iterations": len(out.objective_trace) - out.epochs,
         "epochs": out.epochs,
         "max_defect": out.max_defect,
     }

@@ -18,6 +18,7 @@ tolerance.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil
@@ -80,13 +81,15 @@ _ENERGETIC_BAND = 1e-3
 _CLOSEST_BLOCK = 4096
 
 # The penalty weight starts at _MU0 / diameter and grows by _MU_GROWTH per
-# epoch, in the numeric solver and in the stadium competitor alike.  The
-# numeric solver takes at most _ITERS_PER_EPOCH Armijo steps per epoch; the
-# competitor runs _COMPETITOR_EPOCHS epochs, each one L-BFGS-B run stopped
-# by the _COMPETITOR_* tests below.
+# epoch, in the numeric solver and in the stadium competitor alike.  Each
+# numeric epoch is one _lbfgs run of at most _ITERS_PER_EPOCH steps that
+# keeps the last _LBFGS_MEMORY step pairs; the competitor runs
+# _COMPETITOR_EPOCHS epochs, each one L-BFGS-B run stopped by the
+# _COMPETITOR_* tests below.
 _MU0 = 10.0
 _MU_GROWTH = 4.0
 _ITERS_PER_EPOCH = 150
+_LBFGS_MEMORY = 10
 _COMPETITOR_EPOCHS = 12
 _COMPETITOR_OPTIONS = {"maxiter": 150, "ftol": 1e-15, "gtol": 1e-12}
 
@@ -773,6 +776,59 @@ def _penalty_gradient(V, ends, table, r, mu):
     return g
 
 
+def _lbfgs(fun, grad, x, max_iters):
+    """Minimize from ``x`` by two-loop L-BFGS (Liu & Nocedal, Math.
+    Programming 45 (1989) 503-528) with Armijo backtracking.
+
+    ``fun(x)`` returns the value and a table that ``grad(x, table)`` reads.
+    A step halves up to 40 times from the unit quasi-Newton step; when no
+    halving passes, or that direction does not descend, the memory is
+    dropped and the search repeats from the unit steepest step.  The run
+    stops after ``max_iters`` steps, at a gradient norm <= 1e-12, when no
+    steepest halving passes, or when a step would not strictly lower the
+    value.  Returns the last iterate, its table and the values at the start
+    and after each step.
+    """
+    f, table = fun(x)
+    g, values = grad(x, table), [f]
+    pairs = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
+    while len(values) <= max_iters and np.linalg.norm(g) > 1e-12:
+        q, alphas = g, []
+        for s, y, rho in reversed(pairs):
+            alphas.append(rho * np.vdot(s, q))
+            q = q - alphas[-1] * y
+        if pairs:  # the initial inverse Hessian is (s.y / y.y) I, newest pair
+            s, y, rho = pairs[-1]
+            q = q / (rho * np.vdot(y, y))
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
+            q = q + (a - rho * np.vdot(y, q)) * s
+        slope, t = -float(np.vdot(g, q)), 1.0
+        for _ in range(40 if slope < 0.0 else 0):
+            trial = x - t * q
+            f_new, trial_table = fun(trial)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            if not pairs:
+                break
+            pairs.clear()
+            continue
+        if not f_new < f:
+            break
+        g_new = grad(trial, trial_table)
+        s, y = trial - x, g_new - g
+        sy = float(np.vdot(s, y))
+        # A pair without positive curvature would spoil the inverse Hessian.
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            pairs.append((s, y, 1.0 / sy))
+        else:
+            pairs.clear()
+        x, f, table, g = trial, f_new, trial_table, g_new
+        values.append(f)
+    return x, table, values
+
+
 def _adjacency(n_vertices: int, edges) -> dict[int, list[int]]:
     adj: dict[int, list[int]] = {i: [] for i in range(n_vertices)}
     for u, v in edges:
@@ -849,13 +905,15 @@ def solve_mdm_numeric(
 ) -> NumericResult:
     """Penalty-method local solver over a sampled compact set.
 
-    Minimizes length + mu * sum(max(0, dist - r)^2) by Armijo gradient steps,
-    escalating mu each epoch and applying topology surgery in between.  The
-    objective is non-increasing within an epoch.  Each iterate's dense
-    sample-to-edge table is built once, by the objective: the accepted
-    Armijo trial's table feeds the next gradient and, at the end of an
-    epoch, the surgery.  If coverage is still not met after the last epoch
-    the best iterate is returned with ``covered=False`` rather than raising.
+    Minimizes length + mu * sum(max(0, dist - r)^2), escalating mu each
+    epoch and applying topology surgery in between.  An epoch is one
+    ``_lbfgs`` run, which ends at its step cap or as soon as a step no
+    longer strictly lowers the objective, so the objective decreases
+    within an epoch.  Each iterate's dense sample-to-edge table is built
+    once, by the objective: the accepted trial's table feeds the next
+    gradient and, at the end of an epoch, the surgery.  If coverage is
+    still not met after the last epoch the best iterate is returned with
+    ``covered=False`` rather than raising.
     """
     if r <= 0:
         raise MdmError(f"r must be positive, got {r}")
@@ -868,31 +926,16 @@ def solve_mdm_numeric(
     E = list(init.edges)
     trace: list[float] = []
     marks: list[int] = []
-    step = 0.1 * diam
-    epochs_run = 0
     # A network with no edges gives the penalty nothing to move.
-    for epoch in range(cfg.max_epochs if E else 0):
-        epochs_run = epoch + 1
+    for _ in range(cfg.max_epochs if E else 0):
         ends = np.asarray(E, dtype=np.int64).reshape(-1, 2)
-        f, table = _penalty_objective(V, ends, samples, r, mu)
-        trace.append(f)
-        for _ in range(_ITERS_PER_EPOCH):
-            g = _penalty_gradient(V, ends, table, r, mu)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= 1e-12:
-                break
-            s = step
-            for _ in range(40):
-                trial = V - s * g
-                f_new, trial_table = _penalty_objective(trial, ends, samples, r, mu)
-                if f_new <= f - 1e-4 * s * gnorm * gnorm:
-                    break
-                s *= 0.5
-            else:
-                break
-            V, f, table = trial, f_new, trial_table
-            trace.append(f)
-            step = min(s * 2.0, 0.1 * diam)
+        V, table, values = _lbfgs(
+            lambda X: _penalty_objective(X, ends, samples, r, mu),
+            lambda X, tab: _penalty_gradient(X, ends, tab, r, mu),
+            V,
+            _ITERS_PER_EPOCH,
+        )
+        trace.extend(values)
         marks.append(len(trace))
         net = MdmNetwork(V.copy(), list(E))
         rep = coverage_check(net, samples, r, tol)
@@ -906,7 +949,7 @@ def solve_mdm_numeric(
         network=net,
         covered=rep.covered,
         max_defect=rep.max_defect,
-        epochs=epochs_run,
+        epochs=len(marks),
         objective_trace=trace,
         epoch_marks=marks,
     )

@@ -16,12 +16,20 @@ from minnet.cli import (
     EXIT_UNCONVERGED,
     EXIT_USAGE,
     TOL_ENV_VAR,
+    _initial_network,
     cli_dispatch,
     tolerance_profile,
 )
 from minnet.geometry import DEFAULT_TOL
 from minnet.io import instance_digest, parse_instance, parse_result
-from minnet.mdm import MdmError, MdmNetwork, NumericResult
+from minnet.mdm import (
+    CompactSetDescriptor,
+    MdmError,
+    MdmNetwork,
+    NumericConfig,
+    NumericResult,
+    solve_mdm_numeric,
+)
 
 HORSESHOE_R6_LENGTH = 30.192319998510747  # independently cross-checked elsewhere
 
@@ -270,6 +278,15 @@ class TestMdmCommands:
         assert res.report["covered"] is True
         assert res.solver["name"] == "numeric"
         assert 0 < res.length < 2.0 * math.pi * 1.2
+        desc = CompactSetDescriptor.circle(1.2)
+        direct = solve_mdm_numeric(
+            desc, 0.5, _initial_network(desc, 0.5, 1), NumericConfig(density=96), DEFAULT_TOL
+        )
+        # Each epoch's first trace value is its start, not a step.
+        steps = len(direct.objective_trace) - direct.epochs
+        assert 0 < steps < len(direct.objective_trace)
+        assert res.solver["iterations"] == steps
+        assert res.solver["epochs"] == direct.epochs
 
     def test_one_point_samples_solve(self, tmp_path, capsys):
         inst = _write(

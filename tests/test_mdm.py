@@ -53,6 +53,22 @@ BENCH_SIX = np.array(
     ]
 )
 
+BENCH_CORPUS_SEED = 20251118
+
+
+def _bench_numeric_points() -> np.ndarray:
+    """The benchmark's penalty-solver set, separated_points("numeric", 8,
+    10.0, 2.5) of bench/workloads.py: uniform draws in [0, 10]^2 from its
+    corpus seed, each kept if it is more than 2.5 from every point kept
+    before."""
+    rng = np.random.default_rng([BENCH_CORPUS_SEED, 8, sum(map(ord, "numeric"))])
+    pts: list[np.ndarray] = []
+    while len(pts) < 8:
+        p = rng.uniform(0.0, 10.0, 2)
+        if all(np.linalg.norm(p - q) > 2.5 for q in pts):
+            pts.append(p)
+    return np.array(pts)
+
 
 def _circle_samples(radius, n=720):
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -642,7 +658,55 @@ class TestPenaltyTable:
         assert np.array_equal(mdm._penalty_gradient(V, ends, table, r, 5.0), g0)
 
 
+class TestLbfgs:
+    """``mdm._lbfgs`` on smooth functions whose minimiser and value 0 are known."""
+
+    CAP = 500
+
+    def _minimize(self, fun, grad, x0):
+        x, table, values = mdm._lbfgs(lambda x: (fun(x), None), lambda x, _: grad(x), x0, self.CAP)
+        assert table is None
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert len(values) - 1 < self.CAP
+        return x
+
+    def test_convex_quadratic(self):
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        A = Q @ np.diag(np.linspace(1.0, 100.0, 20)) @ Q.T
+        x_star = rng.standard_normal(20)
+        x = self._minimize(
+            lambda x: 0.5 * (x - x_star) @ A @ (x - x_star),
+            lambda x: A @ (x - x_star),
+            np.zeros(20),
+        )
+        assert np.abs(x - x_star).max() <= 1e-8
+
+    def test_rosenbrock(self):
+        x = self._minimize(
+            lambda x: 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2,
+            lambda x: np.array(
+                [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+            ),
+            np.array([-1.2, 1.0]),
+        )
+        assert np.abs(x - 1.0).max() <= 1e-8
+
+
 class TestSolveMdmNumeric:
+    def test_bench_star_stops_an_epoch_before_the_cap(self):
+        # The benchmark's solve_mdm_numeric.points8 start, before its mirroring.
+        pts = _bench_numeric_points()
+        c = pts.mean(axis=0)
+        star = np.vstack([c + 0.5 * (pts - c), c])
+        star += np.random.default_rng([BENCH_CORPUS_SEED, 8]).normal(scale=0.05, size=star.shape)
+        init = MdmNetwork(star, [(i, 8) for i in range(8)])
+        res = solve_mdm_numeric(CompactSetDescriptor.points(pts), 1.0, init, NumericConfig(), TOL)
+        assert res.covered
+        # An epoch's trace holds its starting value and one value per step.
+        steps = np.diff([0] + res.epoch_marks) - 1
+        assert steps.min() < mdm._ITERS_PER_EPOCH
+
     def test_recovers_horseshoe_from_perturbed_start(self):
         R = 3.0
         hs, hs_len = horseshoe_circle(R, 1.0)
@@ -672,9 +736,10 @@ class TestSolveMdmNumeric:
             NumericConfig(max_epochs=4, density=200), TOL,
         )
         trace, marks = res.objective_trace, res.epoch_marks
-        assert marks and len(trace) >= len(marks)
-        spans = zip(marks, marks[1:] + [len(trace)])
-        for start, end in spans:
+        assert marks and marks[-1] == len(trace)
+        # Epoch k's values are trace[start_k:marks[k]], from the first epoch on.
+        for start, end in zip([0] + marks[:-1], marks):
+            assert end > start
             for i in range(start, end - 1):
                 assert trace[i + 1] <= trace[i] + 1e-12
 
