@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -154,22 +155,47 @@ def _descriptor_to_obj(desc: CompactSetDescriptor) -> dict:
     raise IoError(f"field 'descriptor.kind': unsupported kind {desc.kind!r}")
 
 
+def _is_table(raw: list, width: int, kinds: set) -> bool:
+    """Whether ``raw`` is a list of ``width``-item lists of ``kinds``, with no loop per row.
+
+    Callers run their row loop, which names the bad field, only when it fails.
+    """
+    cells = chain.from_iterable(raw)
+    return set(map(type, raw)) <= {list} and set(map(len, raw)) <= {width} and set(map(type, cells)) <= kinds
+
+
 def _coords_array(raw, name: str, dim: int, min_rows: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) < min_rows:
         raise IoError(f"field '{name}': expected a list of >= {min_rows} coordinate lists")
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-        ):
-            raise IoError(f"field '{name}[{i}]': expected a list of numbers")
-        if len(row) != dim:
-            raise IoError(
-                f"field '{name}[{i}]': dimension mismatch, expected {dim} coordinates, got {len(row)}"
-            )
-    arr = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not _is_table(raw, dim, {int, float}):
+        for i, row in enumerate(raw):
+            if not isinstance(row, list) or not all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
+            ):
+                raise IoError(f"field '{name}[{i}]': expected a list of numbers")
+            if len(row) != dim:
+                raise IoError(
+                    f"field '{name}[{i}]': dimension mismatch, expected {dim} coordinates, got {len(row)}"
+                )
+    try:
+        arr = np.asarray(raw, dtype=float)
+        finite = np.isfinite(arr).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise IoError(f"field '{name}': coordinates must be finite")
     return arr
+
+
+def _index_pairs_ok(raw: list, n: int) -> bool:
+    """Whether ``raw`` is a list of [int, int] pairs in 0..n-1, checked array-wide."""
+    if not _is_table(raw, 2, {int}):
+        return False
+    try:
+        e = np.asarray(raw, dtype=np.int64)
+    except OverflowError:  # beyond int64, so out of range
+        return False
+    return bool(((e >= 0) & (e < n)).all())
 
 
 def _parse_descriptor(raw, dim: int) -> CompactSetDescriptor:
@@ -311,16 +337,16 @@ def parse_result(data) -> ResultFile:
     raw_edges = body.get("edges")
     if not isinstance(raw_edges, list):
         raise IoError(f"field '{key}.edges': expected a list of index pairs")
-    edges = []
-    for i, e in enumerate(raw_edges):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-            or not all(0 <= x < len(vertices) for x in e)
-        ):
-            raise IoError(f"field '{key}.edges[{i}]': expected a valid vertex index pair")
-        edges.append((e[0], e[1]))
+    if not _index_pairs_ok(raw_edges, len(vertices)):
+        for i, e in enumerate(raw_edges):
+            if (
+                not isinstance(e, list)
+                or len(e) != 2
+                or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+                or not all(0 <= x < len(vertices) for x in e)
+            ):
+                raise IoError(f"field '{key}.edges[{i}]': expected a valid vertex index pair")
+    edges = list(map(tuple, raw_edges))
 
     n_terminals = None
     r = None

@@ -35,7 +35,7 @@ from .geometry import (
     fermat_point,
 )
 from .steiner import _contract, _labels, _norm, _relax_batch, instance_scale
-from .topology import enumerate_full_topologies
+from .topology import _full_topology_arrays
 
 __all__ = [
     "MdmError",
@@ -699,10 +699,10 @@ def solve_mdm_finite(
         u = (c2 - c1) / gap
         return MdmNetwork(np.array([c1 + radii[0] * u, c2 - radii[1] * u]), [(0, 1)])
 
-    topologies = enumerate_full_topologies(k)
-    X, lengths, *_ = _relax_batch(centers, topologies, tol, radii=radii)
+    nb, edg = _full_topology_arrays(k)
+    X, lengths, *_ = _relax_batch(centers, nb, edg, tol, radii=radii)
     best = int(np.argmin(lengths))
-    return MdmNetwork(X[best].copy(), topologies[best].edges)
+    return MdmNetwork(X[best].copy(), edg[best].tolist())
 
 
 # ---------------------------------------------------------------------------

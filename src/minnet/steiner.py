@@ -12,7 +12,7 @@ solver and the heuristic relax through it.  :func:`_relax_batch` (sweeps,
 certificate, finisher) relaxes point terminals and the balls of
 ``mdm.solve_mdm_finite``, each leaf free in its ball, alike.
 :func:`_relax_forest` relaxes one heuristic tree: the same sweeps, with the
-same finisher on the branch nodes still moving after 40 sweeps.
+same finisher on the branch nodes still moving every 40 sweeps.
 
 One certificate decides both convergence and pruning: the weak-duality
 bound of :func:`_lower_bounds`, LB <= L* for the topology's optimal length
@@ -57,7 +57,7 @@ from .geometry import (
     ToleranceConfig,
     fermat_point_triples,
 )
-from .topology import Topology, enumerate_full_topologies
+from .topology import Topology, _branch_neighbours, _full_topology_arrays, _topologies
 
 __all__ = [
     "EmbeddedTree",
@@ -75,6 +75,7 @@ __all__ = [
 MIN_BRANCH_ANGLE = 2.0 * np.pi / 3.0
 _DUAL_ROUNDS = 5  # clip-and-project rounds of the dual certificate
 _WEIGHT_FLOOR = 1e-3  # shortest edge a dual weight sees, in units of degen
+_BOUND_BLOCK = 4096  # topologies per dense incidence in _lower_bounds
 _MAX_SWEEPS = 3000  # sweep cap of one batch relaxation
 # Sweep cap with ball terminals: Newton finishes every topology whose bound can
 # win, and past a few dozen sweeps a leaf and a branch node on its sphere crawl.
@@ -184,18 +185,6 @@ class CrossingReport:
 # fixed-topology relaxation (batched)
 
 
-def _tables(topologies: list[Topology], n: int) -> tuple[np.ndarray, np.ndarray]:
-    s = n - 2
-    T = len(topologies)
-    nb = np.empty((T, s, 3), dtype=np.int64)
-    edg = np.empty((T, 2 * n - 3, 2), dtype=np.int64)
-    for t, topo in enumerate(topologies):
-        for i in range(s):
-            nb[t, i] = topo.neighbors(n + i)
-        edg[t] = topo.edges
-    return nb, edg
-
-
 def _harmonic_init(terminals: np.ndarray, nb: np.ndarray) -> np.ndarray:
     """Place each branch node at the average of its neighbors (linear solve).
 
@@ -242,8 +231,14 @@ def _lower_bounds(X, edg, n: int, degen: float, balls=None) -> np.ndarray:
     its part x_t . div_t is at least c_t . div_t - rho_t |div_t|, and the hull
     term becomes min_t r_i . (c_t - x_i) - rho_t |r_i|.  For fixed terminals,
     c_t = x_t and rho_t = 0, both extra terms are exactly 0.0 and are skipped.
+    Each row's arithmetic is its own, so blocks of ``_BOUND_BLOCK`` rows give
+    the same bounds bit for bit and cap the dense (T, m, E) incidence.
     """
     T, m, _ = X.shape
+    if T > _BOUND_BLOCK:
+        cut = range(_BOUND_BLOCK, T, _BOUND_BLOCK)
+        parts = zip(np.split(X, cut), np.split(edg, cut))
+        return np.concatenate([_lower_bounds(x, e, n, degen, balls) for x, e in parts])
     e_idx = np.arange(edg.shape[1])
     t_idx = np.arange(T)[:, None]
     delta = X[t_idx, edg[..., 0]] - X[t_idx, edg[..., 1]]
@@ -525,12 +520,13 @@ def _newton_finish(
 
 def _relax_batch(
     terminals: np.ndarray,
-    topologies: list[Topology],
+    nb: np.ndarray,
+    edg: np.ndarray,
     tol: ToleranceConfig,
     record_trace: bool = False,
     radii: np.ndarray | None = None,
 ):
-    """Relax every topology of one batch.
+    """Relax the full topologies ``nb``, ``edg`` (as ``topology._full_topology_arrays`` builds).
 
     Returns (X, lengths, converged, gaps, traces, pruned, sweeps).  ``gaps``
     is each length minus its :func:`_lower_bounds` value, taken after the
@@ -545,8 +541,7 @@ def _relax_batch(
     """
     n, d = terminals.shape
     s = n - 2
-    T = len(topologies)
-    nb, edg = _tables(topologies, n)
+    T = len(edg)
     scale = instance_scale(terminals)
     X = np.empty((T, n + s, d))
     X[:, :n] = terminals[None]
@@ -606,7 +601,9 @@ def _relax_forest(
     sweeps has crawlers: clusters of branch nodes a hair apart that the
     sweeps move by tiny steps.  Its *movers*, the branch nodes that moved by
     more than ``move_target`` in that last sweep, are then finished by
-    :func:`_newton_finish`, and the sweeps resume.  A component of k movers
+    :func:`_newton_finish`, and the sweeps resume; every ``_FINISH_AFTER``
+    sweeps the movers are finished again, until the tree settles or
+    ``max_sweeps`` run.  A component of k movers
     (:func:`_labels`), with its k + 2 fixed neighbours copied in as leaves,
     is a full topology, so the finisher runs on it unchanged, batched over
     the components of each size.  The movers sit within about 1e-8 of the
@@ -615,44 +612,47 @@ def _relax_forest(
     does not get longer.
     """
     s = len(nb)
-    sweeps = _gs_sweeps(X[None], nb[None], n, move_target, min(_FINISH_AFTER - 1, max_sweeps))
-    if sweeps < _FINISH_AFTER - 1 or sweeps == max_sweeps:
-        return sweeps
-    before = X[n : n + s].copy()
-    sweeps += _gs_sweeps(X[None], nb[None], n, move_target, 1)
-    moving = np.linalg.norm(X[n : n + s] - before, axis=1) > move_target
-    if not moving.any() or sweeps == max_sweeps:
-        return sweeps
-    # Each mover's component of movers, its members in node order.
     mate = np.where(nb >= n, nb - n, 0)
-    i, c = np.nonzero(moving[:, None] & (nb >= n) & moving[mate])
-    lab = _labels(s, np.column_stack([i, mate[i, c]]))
-    movers = np.flatnonzero(moving)
-    movers = movers[np.argsort(lab[movers], kind="stable")]
-    lab = lab[movers]
-    starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
-    size = np.diff(np.r_[starts, len(movers)])
-    slot = np.full(len(X), -1)  # each mover's place in its component
-    slot[n + movers] = np.arange(len(movers)) - np.repeat(starts, size)
     degen = max(DEFAULT_TOL.eps_len * scale, 1e-300)
-    for k in np.unique(size).tolist():
-        members = movers[starts[size == k][:, None] + np.arange(k)]  # (F, k)
-        F = len(members)
-        nbr = nb[members]
-        local = slot[nbr]
-        j = np.broadcast_to(np.arange(k)[:, None], nbr.shape)
-        # The k + 2 ends outside a component are distinct: the tree has no
-        # cycle.  They become leaves 0..k+1, the members nodes k+2..2k+1.
-        outer = local < 0
-        inner = local > j  # each edge inside once
-        leaf = np.broadcast_to(np.arange(-k - 2, 0), (F, k + 2))
-        a = np.concatenate([leaf, j[inner].reshape(F, k - 1)], axis=1)
-        b = np.concatenate([j[outer].reshape(F, k + 2), local[inner].reshape(F, k - 1)], axis=1)
-        Y = np.concatenate([X[nbr[outer].reshape(F, k + 2)], X[n + members]], axis=1)
-        edg = np.stack([a, b], axis=2) + k + 2
-        _newton_finish(Y, edg, k + 2, np.arange(F), scale, degen, levels=_EPS_LEVELS[-1:])
-        X[n + members] = Y[:, k + 2 :]
-    return sweeps + _gs_sweeps(X[None], nb[None], n, move_target, max_sweeps - sweeps)
+    sweeps = 0
+    while True:
+        cap = min(_FINISH_AFTER - 1, max_sweeps - sweeps)
+        run = _gs_sweeps(X[None], nb[None], n, move_target, cap)
+        sweeps += run
+        if run < cap or sweeps == max_sweeps:
+            return sweeps
+        before = X[n : n + s].copy()
+        sweeps += _gs_sweeps(X[None], nb[None], n, move_target, 1)
+        moving = np.linalg.norm(X[n : n + s] - before, axis=1) > move_target
+        if not moving.any() or sweeps == max_sweeps:
+            return sweeps
+        # Each mover's component of movers, its members in node order.
+        i, c = np.nonzero(moving[:, None] & (nb >= n) & moving[mate])
+        lab = _labels(s, np.column_stack([i, mate[i, c]]))
+        movers = np.flatnonzero(moving)
+        movers = movers[np.argsort(lab[movers], kind="stable")]
+        lab = lab[movers]
+        starts = np.flatnonzero(np.r_[True, lab[1:] != lab[:-1]])
+        size = np.diff(np.r_[starts, len(movers)])
+        slot = np.full(len(X), -1)  # each mover's place in its component
+        slot[n + movers] = np.arange(len(movers)) - np.repeat(starts, size)
+        for k in np.unique(size).tolist():
+            members = movers[starts[size == k][:, None] + np.arange(k)]  # (F, k)
+            F = len(members)
+            nbr = nb[members]
+            local = slot[nbr]
+            j = np.broadcast_to(np.arange(k)[:, None], nbr.shape)
+            # The k + 2 ends outside a component are distinct: the tree has no
+            # cycle.  They become leaves 0..k+1, the members nodes k+2..2k+1.
+            outer = local < 0
+            inner = local > j  # each edge inside once
+            leaf = np.broadcast_to(np.arange(-k - 2, 0), (F, k + 2))
+            a = np.concatenate([leaf, j[inner].reshape(F, k - 1)], axis=1)
+            b = np.concatenate([j[outer].reshape(F, k + 2), local[inner].reshape(F, k - 1)], axis=1)
+            Y = np.concatenate([X[nbr[outer].reshape(F, k + 2)], X[n + members]], axis=1)
+            edg = np.stack([a, b], axis=2) + k + 2
+            _newton_finish(Y, edg, k + 2, np.arange(F), scale, degen, levels=_EPS_LEVELS[-1:])
+            X[n + members] = Y[:, k + 2 :]
 
 
 def relax_topology(
@@ -672,7 +672,9 @@ def relax_topology(
     if n == 2:
         length = float(np.linalg.norm(pts[0] - pts[1]))
         return EmbeddedTree(topology, pts, np.empty((0, pts.shape[1])), length, True, (length,))
-    X, lengths, converged, _, traces, _, _ = _relax_batch(pts, [topology], tol, record_trace=True)
+    edg = topology.edge_array[None]
+    nb = _branch_neighbours(edg, n)
+    X, lengths, converged, _, traces, _, _ = _relax_batch(pts, nb, edg, tol, record_trace=True)
     trace = tuple(float(t[0]) for t in traces) if traces else ()
     return EmbeddedTree(
         topology, pts, X[0, n:].copy(), float(lengths[0]), bool(converged[0]), trace
@@ -684,11 +686,7 @@ def relax_topology(
 
 
 def _nondegenerate_segments(coords, edges, degen):
-    segs = []
-    for u, v in edges:
-        if np.linalg.norm(coords[u] - coords[v]) > degen:
-            segs.append((coords[u], coords[v]))
-    return segs
+    return [(coords[u], coords[v]) for u, v in edges if np.linalg.norm(coords[u] - coords[v]) > degen]
 
 
 def _same_embedding(segs_a, segs_b, tol_d) -> bool:
@@ -732,42 +730,29 @@ def solve_exact(
         tree = EmbeddedTree(topo, pts, np.empty((0, d)), length, True, (length,))
         return SolveResult(tree, [topo], 1, 0)
 
-    topologies = enumerate_full_topologies(n, n_max=n_max)
-    X, lengths, converged, gaps, _, pruned, sweeps = _relax_batch(pts, topologies, tol)
+    nb, edg = _full_topology_arrays(n, n_max)
+    X, lengths, converged, gaps, _, pruned, sweeps = _relax_batch(pts, nb, edg, tol)
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))
-    best_tree = EmbeddedTree(
-        topologies[best],
-        pts,
-        X[best, n:].copy(),
-        float(lengths[best]),
-        bool(converged[best]),
-    )
-
     l_min = float(lengths[best])
     tie = l_min * tol.eps_tie + 1e-300
-    near = [
-        t
-        for t in np.flatnonzero(lengths <= l_min + tie)
-        if converged[t] or t == best
-    ]
+    near = [t for t in np.flatnonzero(lengths <= l_min + tie) if converged[t] or t == best]
     degen = tol.eps_len * scale
     merge_tol = 1e-6 * scale if scale > 0 else 1e-12
-    reps: list[int] = []
-    rep_segs: list[list] = []
+    reps, rep_segs = [], []
     for t in sorted(near, key=lambda t: (lengths[t], t)):
-        segs = _nondegenerate_segments(X[t], topologies[t].edges, degen)
+        segs = _nondegenerate_segments(X[t], edg[t].tolist(), degen)
         if any(_same_embedding(segs, rs, merge_tol) for rs in rep_segs):
             continue
         reps.append(t)
         rep_segs.append(segs)
-    cominimal = [topologies[t] for t in reps]
+    # Only these become Topology objects; the winner sorts first (argmin takes a tie's first).
+    cominimal = _topologies(edg[reps], n)
+    best_tree = EmbeddedTree(cominimal[0], pts, X[best, n:].copy(), l_min, bool(converged[best]))
     n_pruned = int(pruned.sum())
     n_unconverged = int((~converged).sum()) - n_pruned
-    return SolveResult(
-        best_tree, cominimal, len(topologies), n_unconverged, n_pruned, sweeps, float(gaps[best])
-    )
+    return SolveResult(best_tree, cominimal, len(edg), n_unconverged, n_pruned, sweeps, float(gaps[best]))
 
 
 # ---------------------------------------------------------------------------

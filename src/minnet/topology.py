@@ -5,6 +5,9 @@ terminal of degree 1 and every branch node of degree 3.  Nodes are indexed
 0..n-1 for terminals and n..2n-3 for branch nodes.  Terminals are labeled;
 branch nodes are interchangeable, which is what :func:`canonical_key`
 quotients out.
+
+The solvers take all full topologies as arrays from :func:`_full_topology_arrays`;
+:func:`enumerate_full_topologies` wraps its rows in validated objects.
 """
 
 from __future__ import annotations
@@ -74,8 +77,8 @@ class Topology:
     def edge_array(self) -> np.ndarray:
         """The edges as a read-only (E, 2) int64 array, built on first use.
 
-        Lazy because the exact solver builds up to 945 topologies a solve and
-        never asks for it; the ball statistics ask on every query.
+        Lazy because most enumerated topologies never ask for it; the ball
+        statistics ask on every query.
         """
         e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         e.setflags(write=False)
@@ -111,12 +114,25 @@ def count_full_topologies(n: int) -> int:
     return factorial(2 * n - 4) // (2 ** (n - 2) * factorial(n - 2))
 
 
-def enumerate_full_topologies(n: int, n_max: int = 9) -> list[Topology]:
-    """All full topologies on n labeled terminals, in a deterministic order.
+def _branch_neighbours(edg: np.ndarray, n: int) -> np.ndarray:
+    """(T, n - 2, 3) neighbours of branch node n + i of each full topology in ``edg``.
 
-    Incremental construction: the unique topology on 3 terminals is grown one
-    terminal at a time, attaching terminal k into each existing edge through a
-    fresh branch node.  Every full topology arises exactly once this way.
+    One stable argsort groups the edge ends by node in edge order, as
+    :meth:`Topology.neighbors` lists them; the first n are the terminals'.
+    """
+    ends = edg.reshape(len(edg), -1)
+    order = ends.argsort(axis=1, kind="stable")[:, n:]
+    return np.take_along_axis(ends, order ^ 1, axis=1).reshape(len(edg), n - 2, 3)
+
+
+def _full_topology_arrays(n: int, n_max: int = 9) -> tuple[np.ndarray, np.ndarray]:
+    """(nb, edg): the (T, n - 2, 3) :func:`_branch_neighbours` and (T, 2n - 3, 2)
+    edges of all full topologies on n terminals.
+
+    The unique topology on 3 terminals grows one terminal at a time:
+    terminal k splits edge i of topology t through a fresh branch node
+    2k - 1, old branch nodes shifted up by one, into row t (2k - 3) + i, with
+    one gather per level.  Every full topology arises exactly once.
     ``n_max`` guards against runaway enumeration: the count grows as (2n-5)!!.
     """
     if n < 2:
@@ -125,29 +141,28 @@ def enumerate_full_topologies(n: int, n_max: int = 9) -> list[Topology]:
         raise TopologyError(
             f"n = {n} exceeds n_max = {n_max}; {count_full_topologies(n)} topologies"
         )
-    if n == 2:
-        return [Topology(2, 0, ((0, 1),))]
-
-    # Edge lists with terminals 0..k-1 and branch nodes k..2k-3.
-    current: list[tuple[tuple[int, int], ...]] = [((0, 3), (1, 3), (2, 3))]
+    edg = np.array([[[0, 1]]]) if n == 2 else np.array([[[0, 3], [1, 3], [2, 3]]])
     for k in range(3, n):
-        # Insert terminal k: shift old branch indices up by one, then split
-        # each edge (u, v) with a fresh branch node w = 2k - 1.
-        grown: list[tuple[tuple[int, int], ...]] = []
-        for edges in current:
-            shifted = tuple(
-                (u if u < k else u + 1, v if v < k else v + 1) for u, v in edges
-            )
-            new_node = 2 * k - 1
-            for i, (u, v) in enumerate(shifted):
-                split = (
-                    shifted[:i]
-                    + ((u, new_node), (new_node, v), (new_node, k))
-                    + shifted[i + 1 :]
-                )
-                grown.append(split)
-        current = grown
-    return [Topology(n, n - 2, edges) for edges in current]
+        T, E, _ = edg.shape
+        ends = np.where(edg < k, edg, edg + 1).reshape(T, 2 * E)
+        ends = np.concatenate([ends, np.broadcast_to([2 * k - 1, k], (T, 2))], axis=1)
+        # Edge i (ends 2i, 2i + 1) becomes (u, w), (w, v), (w, k); w and k
+        # sit at columns c and c + 1.
+        c = 2 * E
+        split = [[*range(2 * i), 2 * i, c, c, 2 * i + 1, c, c + 1, *range(2 * i + 2, c)] for i in range(E)]
+        edg = ends[:, split].reshape(T * E, E + 2, 2)
+    return _branch_neighbours(edg, n), edg
+
+
+def _topologies(edg: np.ndarray, n: int) -> list[Topology]:
+    """Validated :class:`Topology` objects for the rows of a full-topology edge array."""
+    return [Topology(n, n - 2, tuple(map(tuple, e))) for e in edg.tolist()]
+
+
+def enumerate_full_topologies(n: int, n_max: int = 9) -> list[Topology]:
+    """All full topologies on n labeled terminals, in the deterministic order
+    of :func:`_full_topology_arrays`, which raises when n exceeds ``n_max``."""
+    return _topologies(_full_topology_arrays(n, n_max)[1], n)
 
 
 def _encode(topo: Topology, node: int, parent: int) -> str:

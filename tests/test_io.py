@@ -288,3 +288,44 @@ class TestResultFiles:
         del obj["instance_digest"]
         with pytest.raises(IoError, match="instance_digest"):
             parse_result(_bytes(obj))
+
+    @pytest.mark.parametrize(
+        "path,value,message",
+        [
+            (("vertices", 1, 0), True, "field 'network.vertices[1]': expected a list of numbers"),
+            (("vertices", 2, 1), "x", "field 'network.vertices[2]': expected a list of numbers"),
+            (("vertices", 1), [1.0], "field 'network.vertices[1]': dimension mismatch, expected 2 coordinates, got 1"),
+            (("vertices", 0), 5, "field 'network.vertices[0]': expected a list of numbers"),
+            (("edges", 1, 1), 3, "field 'network.edges[1]': expected a valid vertex index pair"),
+            (("edges", 0, 0), -1, "field 'network.edges[0]': expected a valid vertex index pair"),
+            (("edges", 1, 0), 2**70, "field 'network.edges[1]': expected a valid vertex index pair"),
+            (("edges", 1, 0), -(2**70), "field 'network.edges[1]': expected a valid vertex index pair"),
+            (("edges", 0, 1), True, "field 'network.edges[0]': expected a valid vertex index pair"),
+            (("edges", 0, 1), 1.0, "field 'network.edges[0]': expected a valid vertex index pair"),
+            (("edges", 1), [0, 1, 2], "field 'network.edges[1]': expected a valid vertex index pair"),
+        ],
+    )
+    def test_bad_row_named_as_by_the_row_loop(self, path, value, message):
+        # The array-wide checks hand a failing list to the row loop, which
+        # names the first bad row exactly as it always has.
+        obj = json.loads(serialize_result(self._mdm_result()))
+        target = obj["network"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(IoError) as info:
+            parse_result(_bytes(obj))
+        assert str(info.value) == message
+
+    def test_huge_integer_coordinate_is_not_finite(self):
+        obj = json.loads(serialize_result(self._mdm_result()))
+        obj["network"]["vertices"][0][1] = 10**400
+        with pytest.raises(IoError, match=r"^field 'network.vertices': coordinates must be finite$"):
+            parse_result(_bytes(obj))
+
+    def test_integer_rows_parse_like_floats(self):
+        obj = json.loads(serialize_result(self._mdm_result()))
+        obj["network"]["vertices"] = [[0, 2], [1, 2.0], [10**30, 3]]
+        back = parse_result(_bytes(obj))
+        assert back.vertices.tolist() == [[0.0, 2.0], [1.0, 2.0], [1e30, 3.0]]
+        assert back.edges == [(0, 1), (1, 2)] and all(type(u) is int for e in back.edges for u in e)

@@ -28,7 +28,7 @@ from minnet import mdm, steiner
 from minnet.mdm import _closest_on_network, _gapped_parallel, _tangent_length
 from minnet.ratio import mst
 from minnet.steiner import instance_scale, solve_exact
-from minnet.topology import enumerate_full_topologies
+from minnet.topology import _full_topology_arrays, enumerate_full_topologies
 
 TOL = DEFAULT_TOL
 
@@ -554,10 +554,10 @@ class TestFiniteSolverOptimality:
         for i, (pts, r, ref) in enumerate(criterion_08_reference):
             n = len(pts)
             topologies = enumerate_full_topologies(n)
-            _, lengths, _, gaps, *_ = steiner._relax_batch(pts, topologies, TOL, radii=np.full(n, r))
+            nb, edg = _full_topology_arrays(n)
+            _, lengths, _, gaps, *_ = steiner._relax_batch(pts, nb, edg, TOL, radii=np.full(n, r))
             slack = 1e-12 * instance_scale(pts)
             assert np.all(lengths - gaps <= ref + slack), i
-            nb, edg = steiner._tables(topologies, n)
             leaf_nbr = np.array([[topo.neighbors(j)[0] for j in range(n)] for topo in topologies])
             balls = (pts, np.full(n, r), leaf_nbr)
             X = np.concatenate([np.broadcast_to(pts, (len(topologies), n, 2)), steiner._harmonic_init(pts, nb)], axis=1)

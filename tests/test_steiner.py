@@ -27,7 +27,6 @@ from minnet.steiner import (
     _harmonic_init,
     _lower_bounds,
     _relax_forest,
-    _tables,
     instance_scale,
     count_branching_in_ball,
     count_crossings,
@@ -36,7 +35,7 @@ from minnet.steiner import (
     solve_exact,
     verify_tree,
 )
-from minnet.topology import Topology, enumerate_full_topologies
+from minnet.topology import Topology, _branch_neighbours, enumerate_full_topologies
 
 MIN_ANGLE = 2.0 * math.pi / 3.0
 
@@ -316,6 +315,12 @@ class TestSolveExactInvariants:
         assert res.tree.length >= max(pdist(pts)) - 1e-9
 
 
+def _tables(topologies, n: int):
+    """(nb, edg) of a list of full topologies, the arrays ``_relax_batch`` takes."""
+    edg = np.stack([topo.edge_array for topo in topologies])
+    return _branch_neighbours(edg, n), edg
+
+
 def _embeddings_after(pts: np.ndarray, topologies, sweeps: int):
     """Branch-node embeddings after ``sweeps`` Fermat sweeps from the harmonic start."""
     n = len(pts)
@@ -446,6 +451,19 @@ class TestLowerBound:
             X, nb, edg = _embeddings_after(pts, topologies, sweeps)
             lb = _lower_bounds(X, edg, n, degen)
             assert np.all(lb <= ref + 1e-12 * scale), (sweeps, (lb - ref).max())
+
+    @pytest.mark.parametrize("radius", [None, 0.05])
+    def test_blocks_equal_one_call_bit_for_bit(self, radius, monkeypatch):
+        # All 10 395 topologies of n = 8, in blocks of 1000 (the last one
+        # short) and in one call.
+        pts = np.random.default_rng(8).uniform(0.0, 1.0, (8, 2))
+        X, _, edg = _embeddings_after(pts, enumerate_full_topologies(8), 3)
+        balls = None if radius is None else (pts, np.full(8, radius), None)
+        degen = DEFAULT_TOL.eps_len * instance_scale(pts)
+        monkeypatch.setattr(steiner, "_BOUND_BLOCK", len(X))
+        whole = _lower_bounds(X, edg, 8, degen, balls)
+        monkeypatch.setattr(steiner, "_BOUND_BLOCK", 1000)
+        assert np.array_equal(_lower_bounds(X, edg, 8, degen, balls), whole)
 
     def test_bound_is_tight_at_the_optimum(self):
         pts = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0)])
@@ -1110,6 +1128,20 @@ class TestCrawlerFinish:
         _gs_sweeps(plain[None], nb[None], n, move_target, cap)
         _relax_forest(finished, nb, n, move_target, cap, scale)
         assert _branch_length(finished, nb, n) <= _branch_length(plain, nb, n) * (1.0 + 1e-12)
+
+    def test_no_round_of_hex250_reaches_the_cap(self, monkeypatch):
+        # Its seventh round swept to the cap while the movers were finished
+        # only once; finishing them every 40 sweeps settles it.
+        runs = []
+        relax = experiments._relax_forest
+
+        def record(X, nb, n, move_target, cap, scale):
+            runs.append((relax(X, nb, n, move_target, cap, scale), cap))
+            return runs[-1][0]
+
+        monkeypatch.setattr(experiments, "_relax_forest", record)
+        heuristic_steiner(hex_lattice_instance(250))
+        assert len(runs) >= 7 and all(sweeps < cap for sweeps, cap in runs), runs
 
     def test_finish_never_lengthens(self, capped, monkeypatch):
         X, nb, n, move_target, cap, scale = capped

@@ -9,10 +9,32 @@ from hypothesis import strategies as st
 from minnet.topology import (
     Topology,
     TopologyError,
+    _full_topology_arrays,
     canonical_key,
     count_full_topologies,
     enumerate_full_topologies,
 )
+
+
+def _grown_edge_lists(n):
+    """Reference enumeration: the edge tuples grown one terminal at a time.
+
+    Terminal k splits each edge (u, v) of each topology, in order, into
+    (u, w), (w, v), (w, k) through a fresh branch node w = 2k - 1, after the
+    old branch nodes shift up by one.
+    """
+    if n == 2:
+        return [((0, 1),)]
+    current = [((0, 3), (1, 3), (2, 3))]
+    for k in range(3, n):
+        grown = []
+        for edges in current:
+            shifted = tuple((u if u < k else u + 1, v if v < k else v + 1) for u, v in edges)
+            w = 2 * k - 1
+            for i, (u, v) in enumerate(shifted):
+                grown.append(shifted[:i] + ((u, w), (w, v), (w, k)) + shifted[i + 1 :])
+        current = grown
+    return current
 
 
 def _prufer_to_edges(seq, total):
@@ -75,6 +97,26 @@ class TestCounting:
     def test_nmax_guard(self):
         with pytest.raises(TopologyError):
             enumerate_full_topologies(10, n_max=9)
+
+
+class TestArrays:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_edges_match_the_grown_tuples_in_order(self, n):
+        _, edg = _full_topology_arrays(n)
+        assert edg.dtype == np.int64
+        assert edg.tolist() == [[list(e) for e in edges] for edges in _grown_edge_lists(n)]
+        assert [t.edges for t in enumerate_full_topologies(n)] == _grown_edge_lists(n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_neighbours_match_topology_neighbors(self, n):
+        nb, edg = _full_topology_arrays(n)
+        assert nb.shape == (len(edg), n - 2, 3)
+        topos = [Topology(n, n - 2, edges) for edges in _grown_edge_lists(n)]
+        assert nb.tolist() == [[list(t.neighbors(n + i)) for i in range(n - 2)] for t in topos]
+
+    def test_nmax_guard_message(self):
+        with pytest.raises(TopologyError, match=r"^n = 10 exceeds n_max = 9; 2027025 topologies$"):
+            _full_topology_arrays(10)
 
 
 class TestStructure:
