@@ -171,6 +171,7 @@ def _cmd_steiner_solve(args) -> int:
             "name": "exact",
             "converged": tree.converged,
             "iterations": res.sweeps,
+            "newton_steps": res.newton_steps,
             "n_topologies": res.n_topologies,
             "n_unconverged": res.n_unconverged,
             "n_pruned": res.n_pruned,

@@ -26,12 +26,15 @@ Coordinate descent stalls where coincident branch nodes want to translate
 as a block, and crawls where short edges couple branch nodes stiffly.  One
 finisher handles both: damped Newton on the smoothed length
 sum_e sqrt(l_e^2 + eps^2) over all branch nodes, batched over the
-uncertified topologies, with eps driven toward machine scale.  It never
-lengthens a topology, so monotonicity holds.  With point terminals the
-finisher runs only on topologies near the running minimum; far-from-minimal
-stalls keep an honest ``converged=False`` and a length that is a slight
-overestimate (upper bound) of their true optimum.  With ball terminals it
-runs on every topology whose bound can still beat the shortest length.
+uncertified topologies, with eps driven toward machine scale.  Each eps
+level ends when every topology's Newton decrement reaches the round-off
+floor of its smoothed length, and backtracking starts near the last
+accepted step.  It never lengthens a topology, so monotonicity holds.
+With point terminals the finisher runs only on topologies near the
+running minimum; far-from-minimal stalls keep an honest ``converged=False``
+and a length that is a slight overestimate (upper bound) of their true
+optimum.  With ball terminals it runs on every topology whose bound can
+still beat the shortest length.
 
 :func:`solve_exact` sweeps all full topologies as one batch (they share the
 same array shapes for a given terminal count), and each topology retires
@@ -150,8 +153,8 @@ class SolveResult:
     ``eps_len * scale`` of its own optimum by the duality gap), certified
     non-minimal by the same lower bound (``n_pruned``), or neither
     (``n_unconverged``).  ``sweeps`` counts the batched Gauss-Seidel sweeps
-    of the main phase, and ``gap`` is the winner's length minus its lower
-    bound.
+    of the main phase, ``gap`` is the winner's length minus its lower
+    bound, and ``newton_steps`` counts the finisher's Newton steps.
     """
 
     tree: EmbeddedTree
@@ -161,6 +164,7 @@ class SolveResult:
     n_pruned: int = 0
     sweeps: int = 0
     gap: float = 0.0
+    newton_steps: int = 0
 
 
 @dataclass
@@ -414,7 +418,7 @@ def _cluster_roots(T: int, m: int, t, a, b) -> np.ndarray:
 
 def _newton_finish(
     X, edg, n: int, rows: np.ndarray, scale: float, degen: float, balls=None, levels=_EPS_LEVELS
-) -> None:
+) -> int:
     """Damped Newton on the smoothed length of the topologies in ``rows``, in place.
 
     Coordinate descent stalls where coincident branch nodes want to move as
@@ -422,15 +426,19 @@ def _newton_finish(
     are finished by Newton's method on sum_e sqrt(l_e^2 + eps^2) over all
     branch nodes at once, which is smooth and strictly convex for eps > 0,
     so zero-length edges need no special case.  The Hessian is assembled
-    from the edge blocks (I - u u^T) / l_eps with u = e / l_eps, and each
-    topology's step is halved until its smoothed length does not grow.  eps
-    steps through ``levels``, by default from 1e-3 down to 1e-14 of the
-    instance scale; a warm start near the optimum takes the last level only.
+    from the edge blocks (I - u u^T) / l_eps with u = e / l_eps.  Each
+    topology's step is halved, from min(1, 4 t) for its last accepted step t
+    at this eps (1 at first), until its smoothed length f does not grow.  A
+    topology whose Newton decrement -g . step is at most 1e-15 f, about 4 ulp
+    of f, takes no step, and an eps level ends once none is left.  eps steps
+    through ``levels``, by default from 1e-3 down to 1e-14 of the instance
+    scale; a warm start near the optimum takes the last level only.
     The iterate with the shortest true length (the latest one on a tie) is
     kept, so no topology gets longer.  The smoothed optimum leaves collapsed
     nodes about eps apart, so each cluster of nodes joined by edges <=
     ``degen`` is then snapped onto its first terminal, or onto its mean if
-    it holds none, wherever that does not lengthen the topology.
+    it holds none, wherever that does not lengthen the topology.  Returns
+    the number of Newton steps taken, one Hessian solve each.
 
     Given ``balls`` as for :func:`_gs_sweeps`, each iterate's leaves sit at
     the points of their balls B(c, rho) nearest their branch nodes y, so a leaf
@@ -457,10 +465,13 @@ def _newton_finish(
         return np.sqrt((segments(Z) ** 2).sum(axis=2) + eps2).sum(axis=1)
 
     best, best_len = place(Y).copy(), _total_lengths(Y, ends)
+    steps = 0
     for k in levels:
         eps2 = (10.0**-k * scale) ** 2
         fval = smoothed(Y, eps2)
+        t_last = np.ones(F)
         for _ in range(30):
+            steps += 1
             seg = segments(Y)
             ell = np.sqrt((seg**2).sum(axis=2) + eps2)
             u = seg / ell[..., None]
@@ -483,23 +494,25 @@ def _newton_finish(
                 step = np.linalg.solve(H, -g[:, :s].reshape(F, s * d, 1)).reshape(F, s, d)
             except np.linalg.LinAlgError:
                 break
-            if np.abs(step).max() <= 1e-16 * scale:
+            active = -(g[:, :s] * step).sum(axis=(1, 2)) > 1e-15 * fval
+            if not active.any():
                 break
-            t = np.ones(F)
-            pending = np.ones(F, dtype=bool)
+            t = np.minimum(1.0, 4.0 * t_last)
+            pending = active.copy()
             f_prev = fval.copy()
             for _ in range(50):
                 trial = Y.copy()
                 trial[:, n:] += t[:, None, None] * step
                 ftrial = smoothed(place(trial), eps2)
                 take = pending & (ftrial <= fval)
-                Y[take], fval[take] = trial[take], ftrial[take]
+                Y[take], fval[take], t_last[take] = trial[take], ftrial[take], t[take]
                 pending &= ~take
                 if not pending.any():
                     break
                 t[pending] *= 0.5
-            # With balls, a step that no longer shortens ends this eps.
-            if pending.all() or (balls is not None and not (fval < f_prev).any()):
+            # With balls, a step that no longer shortens ends this eps: without
+            # this stop criterion 08 runs twice the steps, 10 s instead of 5 s.
+            if (pending == active).all() or (balls is not None and not (fval < f_prev).any()):
                 break
             cur = _total_lengths(Y, ends)
             better = cur <= best_len
@@ -516,6 +529,7 @@ def _newton_finish(
     better = _total_lengths(snap, ends) <= best_len
     best[better] = snap[better]
     X[rows] = best
+    return steps
 
 
 def _relax_batch(
@@ -528,12 +542,13 @@ def _relax_batch(
 ):
     """Relax the full topologies ``nb``, ``edg`` (as ``topology._full_topology_arrays`` builds).
 
-    Returns (X, lengths, converged, gaps, traces, pruned, sweeps).  ``gaps``
-    is each length minus its :func:`_lower_bounds` value, taken after the
-    sweeps and again after the finisher; ``converged`` means the gap is at
-    most ``eps_len * scale``, so the length is certified within that of the
-    topology's optimum.  ``pruned`` marks unconverged topologies whose lower
-    bound exceeds the shortest length by more than ``eps_tie``.
+    Returns (X, lengths, converged, gaps, traces, pruned, sweeps,
+    newton_steps).  ``gaps`` is each length minus its :func:`_lower_bounds`
+    value, taken after the sweeps and again after the finisher; ``converged``
+    means the gap is at most ``eps_len * scale``, so the length is certified
+    within that of the topology's optimum.  ``pruned`` marks unconverged
+    topologies whose lower bound exceeds the shortest length by more than
+    ``eps_tie``.  ``newton_steps`` sums the finisher's steps.
 
     Given ``radii``, terminal i is the ball B(terminals[i], radii[i]), and
     uncertified topologies are finished one at a time, lowest bound first,
@@ -549,7 +564,7 @@ def _relax_batch(
     if scale == 0.0:
         X[:, n:] = terminals[0]
         lengths = np.zeros(T)
-        return X, lengths, np.ones(T, dtype=bool), np.zeros(T), [np.zeros(T)], pruned, 0
+        return X, lengths, np.ones(T, dtype=bool), np.zeros(T), [np.zeros(T)], pruned, 0, 0
 
     X[:, n:] = _harmonic_init(terminals, nb)
     trace: list | None = [] if record_trace else None
@@ -565,19 +580,20 @@ def _relax_batch(
     lengths = _total_lengths(X, edg)
     lb = _lower_bounds(X, edg, n, degen, balls)
     open_ = (lengths - lb > tol.eps_len * scale) & ~pruned
+    newton_steps = 0
     if balls is None:
         # Only topologies near the current best length matter downstream, so
         # the finisher skips far-from-minimal ones and certified non-minimal
         # ones; those keep an honest converged=False.
         flagged = np.flatnonzero(open_ & (lengths <= lengths.min() * (1.0 + 1e-3)))
         if len(flagged):
-            _newton_finish(X, edg, n, flagged, scale, degen)
+            newton_steps = _newton_finish(X, edg, n, flagged, scale, degen)
             lengths = _total_lengths(X, edg)
             lb[flagged] = _lower_bounds(X[flagged], edg[flagged], n, degen)
     else:
         while (due := np.flatnonzero(open_ & (lb <= lengths.min() * (1.0 + tol.eps_tie)))).size:
             row = due[[np.argmin(lb[due])]]
-            _newton_finish(X, edg, n, row, scale, degen, balls)
+            newton_steps += _newton_finish(X, edg, n, row, scale, degen, balls)
             lengths[row] = _total_lengths(X[row], edg[row])
             lb[row] = _lower_bounds(X[row], edg[row], n, degen, balls)
             open_[row] = False
@@ -586,7 +602,7 @@ def _relax_batch(
     pruned = (pruned | (lb > lengths.min() * (1.0 + tol.eps_tie))) & ~converged
     if trace is not None and (not trace or np.any(trace[-1] != lengths)):
         trace.append(lengths)  # the finisher runs outside the sweep loop
-    return X, lengths, converged, gaps, trace, pruned, sweeps
+    return X, lengths, converged, gaps, trace, pruned, sweeps, newton_steps
 
 
 def _relax_forest(
@@ -674,7 +690,7 @@ def relax_topology(
         return EmbeddedTree(topology, pts, np.empty((0, pts.shape[1])), length, True, (length,))
     edg = topology.edge_array[None]
     nb = _branch_neighbours(edg, n)
-    X, lengths, converged, _, traces, _, _ = _relax_batch(pts, nb, edg, tol, record_trace=True)
+    X, lengths, converged, _, traces, *_ = _relax_batch(pts, nb, edg, tol, record_trace=True)
     trace = tuple(float(t[0]) for t in traces) if traces else ()
     return EmbeddedTree(
         topology, pts, X[0, n:].copy(), float(lengths[0]), bool(converged[0]), trace
@@ -731,7 +747,7 @@ def solve_exact(
         return SolveResult(tree, [topo], 1, 0)
 
     nb, edg = _full_topology_arrays(n, n_max)
-    X, lengths, converged, gaps, _, pruned, sweeps = _relax_batch(pts, nb, edg, tol)
+    X, lengths, converged, gaps, _, pruned, sweeps, newton_steps = _relax_batch(pts, nb, edg, tol)
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))
@@ -752,7 +768,9 @@ def solve_exact(
     best_tree = EmbeddedTree(cominimal[0], pts, X[best, n:].copy(), l_min, bool(converged[best]))
     n_pruned = int(pruned.sum())
     n_unconverged = int((~converged).sum()) - n_pruned
-    return SolveResult(best_tree, cominimal, len(edg), n_unconverged, n_pruned, sweeps, float(gaps[best]))
+    return SolveResult(
+        best_tree, cominimal, len(edg), n_unconverged, n_pruned, sweeps, float(gaps[best]), newton_steps
+    )
 
 
 # ---------------------------------------------------------------------------

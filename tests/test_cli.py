@@ -30,6 +30,7 @@ from minnet.mdm import (
     NumericResult,
     solve_mdm_numeric,
 )
+from minnet.steiner import solve_exact
 
 HORSESHOE_R6_LENGTH = 30.192319998510747  # independently cross-checked elsewhere
 
@@ -169,6 +170,17 @@ class TestSteinerCommands:
         scale = float(np.max(np.linalg.norm(pts[:, None] - pts[None], axis=2)))
         assert solver["converged"] is True
         assert solver["gap"] <= DEFAULT_TOL.eps_len * scale
+
+    def test_solve_reports_newton_steps(self, tmp_path, capsys):
+        # A terminal pair 1e-8 apart leaves the winner for the Newton finisher.
+        pts = [[0.2, 0.3], [0.2 + 1e-8, 0.3], [0.3, 0.9], [0.7, 0.85], [0.4, 0.0]]
+        inst = _write(tmp_path, "pair.json", {"dim": 2, "problem": "steiner", "terminals": pts})
+        out = str(tmp_path / "result.json")
+        assert cli_dispatch(["steiner", "solve", "--in", inst, "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        steps = parse_result(open(out, "rb").read()).solver["newton_steps"]
+        assert isinstance(steps, int) and steps >= 0
+        assert steps == solve_exact(pts).newton_steps
 
     def test_ratio_coincident_terminals_exits_invalid(self, tmp_path, capsys):
         coincident = {"dim": 2, "problem": "steiner", "terminals": [[0.25, 0.5]] * 4}

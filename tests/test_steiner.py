@@ -648,7 +648,7 @@ class TestSolveAccounting:
     def test_coincident_terminals_run_no_sweeps(self):
         res = solve_exact([(0.5, 0.5)] * 4)
         assert res.tree.length == 0.0
-        assert (res.sweeps, res.n_pruned, res.n_unconverged) == (0, 0, 0)
+        assert (res.sweeps, res.n_pruned, res.n_unconverged, res.newton_steps) == (0, 0, 0, 0)
 
 
 class TestVerifyTree:
@@ -1160,3 +1160,35 @@ class TestCrawlerFinish:
         before, after = seen[3], seen[4]
         assert not np.array_equal(before, after)
         assert _branch_length(after, nb, n) <= _branch_length(before, nb, n)
+
+
+class TestNewtonFinish:
+    """The finisher stops on its Newton decrement at the round-off floor."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The step count of every finisher call."""
+        steps = []
+        finish = steiner._newton_finish
+
+        def record(*args, **kwargs):
+            steps.append(finish(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(steiner, "_newton_finish", record)
+        return steps
+
+    def test_caterpillar_stops_at_the_floor(self, steps):
+        # A 3-d n = 32 caterpillar whose finisher used to run 278 Newton
+        # steps, 153 of them at the round-off floor without shortening.
+        pts = np.random.default_rng(6).random((32, 3))
+        tree = relax_topology(pts, caterpillar_topology(32))
+        assert len(steps) == 1 and steps[0] <= 139, steps
+        assert tree.converged
+        assert tree.length == pytest.approx(14.334826889977045, rel=1e-13)
+
+    def test_solve_exact_sums_the_steps(self, steps):
+        # A terminal pair 1e-8 apart leaves the winner for the finisher.
+        res = solve_exact([(0.2, 0.3), (0.2 + 1e-8, 0.3), (0.3, 0.9), (0.7, 0.85), (0.4, 0.0)])
+        assert res.tree.converged
+        assert steps and res.newton_steps == sum(steps) > 0
