@@ -82,20 +82,36 @@ def distance(a, b) -> float:
     return float(np.linalg.norm(pa - pb))
 
 
+def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Row-wise dot products, rounded exactly as numpy's 1-d ``u @ w``."""
+    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    """Row-wise lengths, rounded exactly as ``np.linalg.norm`` of one row."""
+    return np.sqrt(_dot(u, u))
+
+
+def _angles(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Angles in [0, pi] between the rays in rows of ``u`` and ``w`` (..., d).
+
+    The one angle kernel.  Kahan's formula is stable for angles near 0 and
+    near pi, unlike plain acos, and symmetric in ``u`` and ``w`` bit for bit.
+    """
+    nu, nw = _norm(u)[..., None], _norm(w)[..., None]
+    if not (nu.all() and nw.all()):
+        raise GeometryError("degenerate ray: endpoints must differ from the vertex")
+    x, y = u * nw, w * nu
+    return 2.0 * np.arctan2(_norm(x - y), _norm(x + y))
+
+
 def angle_at(v, a, b) -> float:
     """Angle at vertex ``v`` between the rays v->a and v->b, in [0, pi]."""
     pv, pa = _pair(v, a)
     pv2, pb = _pair(v, b)
     if pv.shape != pv2.shape:
         raise GeometryError("dimension mismatch between rays")
-    u, w = pa - pv, pb - pv
-    nu, nw = np.linalg.norm(u), np.linalg.norm(w)
-    if nu == 0.0 or nw == 0.0:
-        raise GeometryError("degenerate ray: endpoints must differ from the vertex")
-    # Kahan's formula: stable for angles near 0 and near pi, unlike plain acos.
-    x = u * nw
-    y = w * nu
-    return float(2.0 * np.arctan2(np.linalg.norm(x - y), np.linalg.norm(x + y)))
+    return float(_angles(pa - pv, pb - pv))
 
 
 def fermat_point(a, b, c) -> np.ndarray:
@@ -183,12 +199,7 @@ def dist_point_to_segment(p, s0, s1) -> float:
     pp2, p1 = _pair(p, s1)
     if p0.shape != p1.shape or pp.shape != pp2.shape:
         raise GeometryError("dimension mismatch in dist_point_to_segment")
-    v = p1 - p0
-    den = float(v @ v)
-    if den == 0.0:
-        return float(np.linalg.norm(pp - p0))
-    t = float(np.clip((pp - p0) @ v / den, 0.0, 1.0))
-    return float(np.linalg.norm(pp - (p0 + t * v)))
+    return float(np.linalg.norm(pp - _closest_points(pp, p0, p1)[1]))
 
 
 def _closest_points(pts: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

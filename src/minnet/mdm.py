@@ -28,13 +28,13 @@ from scipy.spatial import cKDTree
 
 from .geometry import (
     DEFAULT_TOL,
-    GeometryError,
     ToleranceConfig,
     _closest_points,
+    _norm,
     angle_at,
     fermat_point,
 )
-from .steiner import _contract, _labels, _norm, _relax_batch, instance_scale
+from .steiner import _contract, _labels, _relax_batch, _vertex_angles, instance_scale
 from .topology import _full_topology_arrays
 
 __all__ = [
@@ -204,6 +204,10 @@ class EnergeticSet:
 
 @dataclass
 class MdmReport:
+    """What ``verify_mdm`` measures.  ``vertex_angles`` pairs each vertex of
+    degree >= 2 after contraction, in vertex-id order, with the smallest
+    angle between two of its neighbours."""
+
     has_cycle: bool
     n_components: int
     segment_count: int
@@ -1093,6 +1097,8 @@ def verify_mdm(
 
     Segment counting contracts edges of negligible length, then merges
     collinear runs through degree-2 vertices (angle within eps_angle of pi).
+    A long edge with both ends in one contracted cluster counts toward
+    ``has_cycle`` but has no angle and no segment.
     """
     V = net.vertices
     scale = max(instance_scale(V), 1e-300)
@@ -1105,50 +1111,22 @@ def verify_mdm(
     has_cycle = len(e) > len(V) - n_components
     short = _norm(V[e[:, 0]] - V[e[:, 1]]) <= thresh
     rep = _labels(len(V), e[short])
-    # Each long edge between representatives, the first of parallel copies.
-    q = rep[e[~short]]
-    first = np.unique(np.sort(q, axis=1), axis=0, return_index=True)[1]
-    quotient_edges = q[np.sort(first)]
-    m = len(quotient_edges)
-
-    # Incidences in insertion order (u then v of each edge); a stable sort
-    # groups them per vertex, and vertices keep their first appearance.
-    inc_v = quotient_edges.ravel()
-    order = np.argsort(inc_v, kind="stable")
-    nbr = quotient_edges[:, ::-1].ravel()[order]
-    eid = np.repeat(np.arange(m), 2)[order]
-    vtx, start, deg = np.unique(inc_v[order], return_index=True, return_counts=True)
-    branch = np.flatnonzero(deg >= 2)
-    branch = branch[np.argsort(order[start[branch]])]
-    triples = []  # (centre, ray end a, ray end b, group) per pair of rays
-    for k in np.unique(deg[branch]):
-        g = branch[deg[branch] == k]
-        ia, ib = np.triu_indices(k, 1)
-        slots = start[g][:, None]
-        triples.append([np.repeat(vtx[g], len(ia)), nbr[slots + ia].ravel(), nbr[slots + ib].ravel(), np.repeat(g, len(ia))])
-    vmin = np.full(len(vtx), np.inf)
-    if triples:
-        c, ea, eb, owner = (np.concatenate(col) for col in zip(*triples))
-        u, w = V[ea] - V[c], V[eb] - V[c]
-        nu, nw = _norm(u), _norm(w)
-        if np.any((nu == 0.0) | (nw == 0.0)):
-            raise GeometryError("degenerate ray: endpoints must differ from the vertex")
-        # Kahan's formula, rounded as angle_at rounds it.
-        x, y = u * nw[:, None], w * nu[:, None]
-        np.minimum.at(vmin, owner, 2.0 * np.arctan2(_norm(x - y), _norm(x + y)))
-    angles = [(int(vtx[g]), float(vmin[g])) for g in branch]
-    two = start[deg == 2]
-    flat = vmin[deg == 2] >= np.pi - tol.eps_angle
-    straight = np.column_stack([eid[two[flat]], eid[two[flat] + 1]])
-    segment_count = len(np.unique(_labels(len(quotient_edges), straight)))
-    min_angle = min((a for _, a in angles), default=float(np.pi))
+    # Long edges between representatives; one inside a cluster is a loop,
+    # which closes a cycle but has no angle.
+    degree, smallest, arcs = _vertex_angles(V, rep[e[~short]])
+    branch = np.flatnonzero(degree >= 2)
+    # A straight degree-2 vertex joins its two edges into one segment.
+    start = np.cumsum(degree) - degree
+    two = start[(degree == 2) & (smallest >= np.pi - tol.eps_angle)]
+    straight = np.column_stack([arcs[two, 2], arcs[two + 1, 2]])
+    segment_count = len(np.unique(_labels(len(arcs) // 2, straight)))
     return MdmReport(
         has_cycle=has_cycle,
         n_components=n_components,
         segment_count=segment_count,
         bound_ok=segment_count <= 2 * m_count - 3,
-        min_angle=min_angle,
-        vertex_angles=angles,
+        min_angle=float(smallest.min(initial=np.pi)),
+        vertex_angles=list(zip(branch.tolist(), smallest[branch].tolist())),
     )
 
 

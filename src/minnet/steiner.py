@@ -58,6 +58,9 @@ from .geometry import (
     DEFAULT_TOL,
     GeometryError,
     ToleranceConfig,
+    _angles,
+    _dot,
+    _norm,
     fermat_point_triples,
 )
 from .topology import Topology, _branch_neighbours, _full_topology_arrays, _topologies
@@ -794,16 +797,6 @@ def _contract(coords: np.ndarray, edges, degen: float):
     return positions, pairs[pairs[:, 0] != pairs[:, 1]]
 
 
-def _dot(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Row-wise dot products, rounded exactly as numpy's 1-d ``u @ w``."""
-    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
-
-
-def _norm(u: np.ndarray) -> np.ndarray:
-    """Row-wise lengths, rounded exactly as ``np.linalg.norm`` of one row."""
-    return np.sqrt(_dot(u, u))
-
-
 def _segment_sphere(seg: np.ndarray, center: np.ndarray, radius: float):
     """Per segment p + s v: (v, a, b, disc, sorted roots) of |p + s v - center| = radius."""
     v = seg[:, 1] - seg[:, 0]
@@ -817,12 +810,40 @@ def _segment_sphere(seg: np.ndarray, center: np.ndarray, radius: float):
     return v, a, b, disc, roots
 
 
+def _vertex_angles(P: np.ndarray, pairs: np.ndarray):
+    """The one neighbour-pair scan: (degree, smallest angle, arcs) per vertex.
+
+    ``pairs`` (k, 2) joins vertices of ``P``; loops are dropped and parallel
+    copies count as one link.  ``arcs`` (2m, 3) lists (vertex, neighbour,
+    link id) for both directions of each of the m links, sorted by vertex
+    and then neighbour, so the neighbours of one vertex are consecutive
+    rows.  A vertex of degree below 2 has smallest angle inf.
+    """
+    n = len(P)
+    lo, hi = np.sort(pairs, axis=1).T
+    lo, hi = np.divmod(np.unique((lo * n + hi)[lo != hi]), n)
+    ids = np.arange(len(lo))
+    arcs = np.column_stack([np.r_[lo, hi], np.r_[hi, lo], np.r_[ids, ids]])
+    arcs = arcs[np.argsort(arcs[:, 0] * n + arcs[:, 1])]
+    degree = np.bincount(arcs[:, 0], minlength=n)
+    # Two neighbours of one vertex sit `gap` rows apart for some gap < degree.
+    triples = [
+        np.column_stack([arcs[:-gap, 0], arcs[:-gap, 1], arcs[gap:, 1]])[arcs[:-gap, 0] == arcs[gap:, 0]]
+        for gap in range(1, degree.max(initial=0))
+    ]
+    smallest = np.full(n, np.inf)
+    if triples:
+        v, a, b = np.concatenate(triples).T
+        np.minimum.at(smallest, v, _angles(P[a] - P[v], P[b] - P[v]))
+    return degree, smallest, arcs
+
+
 def verify_tree(tree: EmbeddedTree, tol: ToleranceConfig = DEFAULT_TOL) -> TreeReport:
     """Structural and angle report after contracting degenerate edges.
 
     Array-wide over all edges.  Angles are taken between every two distinct
-    neighbours of every contracted vertex with Kahan's formula, as in
-    ``geometry.angle_at``.
+    neighbours of every contracted vertex by :func:`_vertex_angles`, through
+    the angle kernel of ``geometry.angle_at``.
     """
     coords = tree.coords()
     degen = tol.eps_len * tree.scale()
@@ -834,26 +855,9 @@ def verify_tree(tree: EmbeddedTree, tol: ToleranceConfig = DEFAULT_TOL) -> TreeR
     v_count = len(positions)
     # Connected with v - 1 edges is a tree; no parallel edges can remain.
     is_tree = len(pairs) == v_count - 1 and not _labels(v_count, pairs).any()
-    links = np.unique(np.sort(pairs, axis=1), axis=0)  # parallel edges once
-    max_degree = int(np.bincount(links.ravel(), minlength=v_count).max())
-
-    # Both directions of every link, grouped by vertex; pairs of neighbours
-    # of one vertex sit `gap` places apart for some gap < max_degree.
-    arcs = np.concatenate([links, links[:, ::-1]])
-    arcs = arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))]
-    triples = [
-        np.column_stack([arcs[:-gap, 0], arcs[:-gap, 1], arcs[gap:, 1]])[arcs[:-gap, 0] == arcs[gap:, 0]]
-        for gap in range(1, max_degree)
-    ]
-    min_angle = None
-    if triples:
-        v, a, b = np.concatenate(triples).T
-        u, w = positions[a] - positions[v], positions[b] - positions[v]
-        nu, nw = _norm(u)[:, None], _norm(w)[:, None]
-        if not (nu.all() and nw.all()):
-            raise GeometryError("degenerate ray: endpoints must differ from the vertex")
-        x, y = u * nw, w * nu
-        min_angle = float((2.0 * np.arctan2(_norm(x - y), _norm(x + y))).min())
+    degree, smallest, _ = _vertex_angles(positions, pairs)
+    max_degree = int(degree.max())
+    min_angle = float(smallest.min()) if max_degree >= 2 else None
     angles_ok = min_angle is None or min_angle >= MIN_BRANCH_ANGLE - tol.eps_angle
     return TreeReport(
         length=float(sum(lens.tolist())),  # in edge order

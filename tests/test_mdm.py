@@ -860,6 +860,17 @@ class TestVerifyMdm:
         rep = verify_mdm(net, 2, TOL)
         assert rep.has_cycle  # duplicated positive-length edge closes a loop
 
+    def test_long_edge_inside_a_contracted_cluster(self):
+        # (0, 3) is longer than the contraction threshold, but 0 and 3 fall
+        # in one cluster through the short chain 0-1-2-3.
+        s = 2.7e-9
+        V = np.array([[0.0, 0.0], [s, 0.0], [2 * s, 0.0], [3 * s, 0.0], [3.0, 0.0], [0.0, 3.0]])
+        edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (0, 5)]
+        rep = verify_mdm(MdmNetwork(V, edges), 3, TOL)
+        assert rep.has_cycle
+        assert rep.segment_count == 2
+        assert rep.vertex_angles == [(0, np.pi / 2.0)]
+
 
 class TestResamplePath:
     def test_preserves_endpoints_and_length(self):

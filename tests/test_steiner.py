@@ -1002,7 +1002,7 @@ def _assert_reports_match(got, ref):
     if ref.min_angle is None:
         assert got.min_angle is None
     else:
-        assert got.min_angle == pytest.approx(ref.min_angle, abs=1e-12)
+        assert got.min_angle == ref.min_angle
 
 
 class TestArrayKernelsMatchPerEdgeOracles:
