@@ -46,12 +46,13 @@ from .io import (
 )
 from .mdm import (
     GAP_EVALUATIONS,
+    _closest_on_network,
+    _coverage_report,
     _default_density,
+    _energetic,
     MdmError,
     MdmNetwork,
     NumericConfig,
-    coverage_check,
-    energetic_points,
     horseshoe_stadium,
     resample_path_network,
     sample_compact,
@@ -240,9 +241,11 @@ def _mdm_result(
 ) -> ResultFile:
     desc, r = inst.descriptor, inst.r
     gate = _gate_samples(desc, r, gate_n)
-    cov = coverage_check(net, gate, r, tol)
+    # One closest-point pass serves both the coverage verdict and the
+    # energetic points.
+    d, p = _closest_on_network(net, gate)
+    cov = _coverage_report(net, gate, d, r, tol)
     rep = verify_mdm(net, len(gate), tol)
-    ener = energetic_points(net, gate, r, tol)
     report = {
         "covered": cov.covered,
         "max_defect": cov.max_defect,
@@ -250,7 +253,7 @@ def _mdm_result(
         "n_components": rep.n_components,
         "segment_count": rep.segment_count,
         "min_angle": rep.min_angle,
-        "energetic": [x.tolist() for x, _ in ener.points],
+        "energetic": _energetic(net, gate, d, p, r, tol)[0],
     }
     if desc.kind == "points":
         report["segment_bound_ok"] = rep.bound_ok

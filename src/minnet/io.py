@@ -5,6 +5,8 @@ Instances describe either a Steiner problem (terminals) or a coverage problem
 network/tree, a verification report, and solver metadata, and are bound to
 their instance by a content digest.  All floats are serialized with 17
 significant digits so every double survives a round-trip bit-exactly.
+Coordinate and edge tables are written a table at a time, with one
+%-format per array, in bytes identical to the item-by-item recursion.
 """
 
 from __future__ import annotations
@@ -32,33 +34,24 @@ class IoError(ValueError):
 # canonical JSON
 
 
-def _float_rows(items: list) -> str:
-    """Nested lists of finite floats, one join per innermost row."""
-    if items and isinstance(items[0], list):
-        return "[" + ",".join(map(_float_rows, items)) + "]"
-    return "[" + ",".join(f"{v:.17g}" for v in items) + "]"
-
-
-def _int_rows(items: list) -> str | None:
-    """A list of int sequences, one join per row; None if it is not one."""
-    rows = []
-    for row in items:
-        if not isinstance(row, (list, tuple)) or not all(type(v) is int for v in row):
-            return None
-        rows.append("[" + ",".join(map(str, row)) + "]")
-    return "[" + ",".join(rows) + "]"
+def _table(arr: np.ndarray, cell: str) -> str:
+    """A whole array with one %-format: ``cell`` per item, nesting from the shape."""
+    template = cell
+    for n in reversed(arr.shape):
+        template = "[" + ",".join([template] * n) + "]"
+    return template % tuple(arr.ravel().tolist())
 
 
 def _render(obj, out: list) -> None:
-    # Fast paths, byte for byte what the recursion below writes: finite float
-    # arrays (vertex coordinates) and lists of int rows (edges).
-    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f" and np.isfinite(obj).all():
-        out.append(_float_rows(obj.tolist()))
-        return
-    if isinstance(obj, list):
-        rows = _int_rows(obj)
-        if rows is not None:
-            out.append(rows)
+    # Fast path, byte for byte what the recursion below writes: an array of
+    # finite floats (vertex coordinates) or of integers (edges) is written a
+    # table at a time.
+    if isinstance(obj, np.ndarray) and obj.size:
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            out.append(_table(obj, "%.17g"))
+            return
+        if obj.dtype.kind in "iu":
+            out.append(_table(obj, "%d"))
             return
     if obj is None or obj is True or obj is False:
         out.append("null" if obj is None else ("true" if obj else "false"))
@@ -166,7 +159,8 @@ def _is_table(raw: list, width: int, kinds: set) -> bool:
 
 def _coords_array(raw, name: str, dim: int, min_rows: int) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) < min_rows:
-        raise IoError(f"field '{name}': expected a list of >= {min_rows} coordinate lists")
+        least = f" >= {min_rows}" if min_rows else ""
+        raise IoError(f"field '{name}': expected a list of{least} coordinate lists")
     if not _is_table(raw, dim, {int, float}):
         for i, row in enumerate(raw):
             if not isinstance(row, list) or not all(
@@ -294,12 +288,13 @@ class ResultFile:
             "report": self.report,
             "solver": self.solver,
         }
-        body = {"vertices": self.vertices, "edges": [list(e) for e in self.edges]}
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        body = {"vertices": self.vertices, "edges": edges}
         if self.problem == "steiner":
             body["topology"] = {
                 "n_terminals": self.n_terminals,
                 "n_steiner": len(self.vertices) - self.n_terminals,
-                "edges": [list(e) for e in self.edges],
+                "edges": edges,
             }
             obj["tree"] = body
         else:
@@ -351,8 +346,11 @@ def parse_result(data) -> ResultFile:
     n_terminals = None
     r = None
     if problem == "steiner":
-        n_terminals = body.get("topology", {}).get("n_terminals")
-        if not isinstance(n_terminals, int) or not 1 <= n_terminals <= len(vertices):
+        topology = body.get("topology", {})
+        if not isinstance(topology, dict):
+            raise IoError("field 'tree.topology': expected an object")
+        n_terminals = topology.get("n_terminals")
+        if type(n_terminals) is not int or not 1 <= n_terminals <= len(vertices):
             raise IoError("field 'tree.topology.n_terminals': expected a valid count")
     else:
         r = obj.get("r")
@@ -364,6 +362,8 @@ def parse_result(data) -> ResultFile:
     solver = obj.get("solver", {})
     if not isinstance(report, dict):
         raise IoError("field 'report': expected an object")
+    if "energetic" in report:  # render_svg draws these markers
+        _coords_array(report["energetic"], "report.energetic", dim, 0)
     if not isinstance(solver, dict):
         raise IoError("field 'solver': expected an object")
     return ResultFile(

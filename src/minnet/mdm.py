@@ -285,11 +285,15 @@ def coverage_check(
     (bounding diameter, floored at r so single-point sets behave).
     """
     samples = np.asarray(m_samples, dtype=float)
+    return _coverage_report(net, samples, _closest_on_network(net, samples)[0], r, tol)
+
+
+def _coverage_report(net: MdmNetwork, samples, d, r: float, tol: ToleranceConfig) -> CoverageReport:
+    """``coverage_check`` given each sample's distance ``d`` to the network."""
     if r <= 0:
         raise MdmError(f"r must be positive, got {r}")
     if len(net.vertices) == 0:
         raise MdmError("coverage_check needs a nonempty network")
-    d = _closest_on_network(net, samples)[0]
     worst = int(np.argmax(d))
     defect = float(d[worst] - r)
     scale = max(instance_scale(samples), r)
@@ -1066,7 +1070,13 @@ def energetic_points(
     x is then energetic.  Nearby x's are deduplicated.
     """
     samples = np.asarray(m_samples, dtype=float)
-    d, p = _closest_on_network(net, samples)
+    X, idx = _energetic(net, samples, *_closest_on_network(net, samples), r, tol)
+    return EnergeticSet(points=list(zip(X, samples[idx])))
+
+
+def _energetic(net: MdmNetwork, samples, d, p, r: float, tol: ToleranceConfig):
+    """``energetic_points`` given each sample's distance ``d`` to the network
+    and closest point ``p``: the kept points and their witnesses' indices."""
     scale = max(instance_scale(samples), r)
     lo = r - _ENERGETIC_BAND * r
     hi = r + tol.coverage_eps * scale
@@ -1086,7 +1096,7 @@ def energetic_points(
     starts = np.flatnonzero(np.r_[True, j[1:] != j[:-1]]) if len(j) else j
     for later, earlier in zip(j[starts], np.split(i, starts[1:])):
         kept[later] = not kept[earlier].any()
-    return EnergeticSet(points=[(X[m].copy(), samples[idx[m]].copy()) for m in np.flatnonzero(kept)])
+    return X[kept], idx[kept]
 
 
 def verify_mdm(

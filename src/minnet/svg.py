@@ -17,9 +17,14 @@ from .io import IoError, ResultFile
 _PAD_FRACTION = 0.08
 
 
+def _tokens(values) -> list[str]:
+    """``.4f`` text of every value from one %-format, ``-0.0000`` read as ``0.0000``
+    (a token has four decimals, so only a whole token can match it)."""
+    return (("%.4f " * len(values)) % tuple(values)).replace("-0.0000", "0.0000").split()
+
+
 def _fmt(x: float) -> str:
-    s = f"{x:.4f}"
-    return "0.0000" if s == "-0.0000" else s
+    return _tokens((x,))[0]
 
 
 def _project(vertices: np.ndarray, dim: int, project: bool) -> np.ndarray:
@@ -64,8 +69,9 @@ def render_svg(result: ResultFile, *, project: bool = False) -> str:
     out.append('<g class="frame" transform="scale(1,-1)">')
 
     # Each coordinate and each constant attribute is formatted once.
-    xy = [(_fmt(x), _fmt(y)) for x, y in pts[:, :2].tolist()]
-    paths = [f"M {xy[i][0]} {xy[i][1]} L {xy[j][0]} {xy[j][1]}" for i, j in result.edges]
+    xy = _tokens(pts.ravel().tolist())
+    xs, ys = xy[0::2], xy[1::2]
+    paths = [f"M {xs[i]} {ys[i]} L {xs[j]} {ys[j]}" for i, j in result.edges]
 
     if r_tube is not None:
         tube = (
@@ -83,13 +89,12 @@ def render_svg(result: ResultFile, *, project: bool = False) -> str:
         ("terminal", f'r="{_fmt(r_dot)}" fill="#d1495b"'),
         ("branch", f'r="{_fmt(r_branch)}" fill="#30638e"'),
     )
-    for k, (x, y) in enumerate(xy):
-        kind, attrs = dots[k >= n_term]
-        out.append(f'<circle class="{kind}" cx="{x}" cy="{y}" {attrs}/>')
+    for (kind, attrs), part in zip(dots, (slice(n_term), slice(n_term, None))):
+        out.extend(f'<circle class="{kind}" cx="{x}" cy="{y}" {attrs}/>' for x, y in zip(xs[part], ys[part]))
 
     marker = f'r="{_fmt(1.6 * r_dot)}" fill="none" stroke="#e8a13c" stroke-width="{_fmt(0.8 * stroke)}"'
-    for q in result.report.get("energetic", []):
-        out.append(f'<circle class="energetic" cx="{_fmt(q[0])}" cy="{_fmt(q[1])}" {marker}/>')
+    q = _tokens([v for row in result.report.get("energetic", []) for v in row[:2]])
+    out.extend(f'<circle class="energetic" cx="{x}" cy="{y}" {marker}/>' for x, y in zip(q[0::2], q[1::2]))
 
     out.append("</g>")
     out.append("</svg>")

@@ -16,7 +16,9 @@ from minnet.cli import (
     EXIT_UNCONVERGED,
     EXIT_USAGE,
     TOL_ENV_VAR,
+    _gate_samples,
     _initial_network,
+    _mdm_result,
     cli_dispatch,
     tolerance_profile,
 )
@@ -28,6 +30,11 @@ from minnet.mdm import (
     MdmNetwork,
     NumericConfig,
     NumericResult,
+    coverage_check,
+    energetic_points,
+    horseshoe_circle,
+    horseshoe_stadium,
+    solve_mdm_finite,
     solve_mdm_numeric,
 )
 from minnet.steiner import solve_exact
@@ -427,6 +434,40 @@ class TestExpRun:
         _err_line(capsys)
 
 
+def _one_pass_case(kind):
+    """An mdm instance and a network for it, each kind a different descriptor."""
+    if kind == "circle":
+        return MDM_CIRCLE6, horseshoe_circle(6.0, 1.0)[0]
+    if kind == "stadium":
+        obj = dict(MDM_CIRCLE6, descriptor={"kind": "stadium", "radius": 3.0, "seg_len": 2.0})
+        return obj, horseshoe_stadium(3.0, 1.0, 2.0)[0]
+    if kind == "points":
+        return MDM_POINTS, solve_mdm_finite(np.array(MDM_POINTS["descriptor"]["points"], dtype=float), 0.5)
+    hexagon = [[3.0 * math.cos(a), 3.0 * math.sin(a)] for a in np.arange(6) * math.pi / 3.0]
+    obj = dict(MDM_CIRCLE6, descriptor={"kind": "polygon", "vertices": hexagon})
+    desc = CompactSetDescriptor.polygon(np.array(hexagon))
+    return obj, _initial_network(desc, 1.0, 3)
+
+
+class TestOnePassReport:
+    @pytest.mark.parametrize("kind", ["circle", "stadium", "points", "polygon"])
+    def test_report_matches_separate_calls(self, kind):
+        # The report shares one closest-point pass between the coverage
+        # verdict and the energetic points; each must read as if computed
+        # alone.
+        obj, net = _one_pass_case(kind)
+        inst = parse_instance(json.dumps(obj).encode())
+        report = _mdm_result(inst, net, DEFAULT_TOL, {}).report
+        gate = _gate_samples(inst.descriptor, inst.r)
+        cov = coverage_check(net, gate, inst.r, DEFAULT_TOL)
+        ener = energetic_points(net, gate, inst.r, DEFAULT_TOL)
+        assert report["covered"] is cov.covered
+        assert report["max_defect"] == cov.max_defect
+        expected = np.array([x for x, _ in ener.points]).reshape(-1, 2)
+        assert len(expected) > 0
+        assert np.array_equal(np.asarray(report["energetic"]).reshape(-1, 2), expected)
+
+
 class TestRender:
     def _solved_square(self, tmp_path, capsys) -> str:
         inst = _write(tmp_path, "square.json", SQUARE)
@@ -453,6 +494,34 @@ class TestRender:
         res = self._solved_square(tmp_path, capsys)
         assert cli_dispatch(["render", "--in", res]) == EXIT_OK
         assert capsys.readouterr().out.startswith("<?xml")
+
+    @pytest.mark.parametrize(
+        "problem,path,value,field",
+        [
+            ("mdm", ("report", "energetic"), 5, "report.energetic"),
+            ("mdm", ("report", "energetic"), [[1]], "report.energetic[0]"),
+            ("mdm", ("report", "energetic"), [[None, 1]], "report.energetic[0]"),
+            ("mdm", ("report", "energetic"), [[1.0, 2.0], "x"], "report.energetic[1]"),
+            ("steiner", ("tree", "topology"), 5, "tree.topology"),
+            ("steiner", ("tree", "topology", "n_terminals"), True, "tree.topology.n_terminals"),
+        ],
+    )
+    def test_malformed_result_exits_invalid(self, tmp_path, capsys, problem, path, value, field):
+        if problem == "mdm":
+            inst = _write(tmp_path, "pts.json", MDM_POINTS)
+            res = str(tmp_path / "result.json")
+            assert cli_dispatch(["mdm", "solve", "--in", inst, "--out", res]) == EXIT_OK
+            capsys.readouterr()
+        else:
+            res = self._solved_square(tmp_path, capsys)
+        obj = json.loads(open(res).read())
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = _write(tmp_path, "bad.json", obj)
+        assert cli_dispatch(["render", "--in", bad, "--out", str(tmp_path / "fig.svg")]) == EXIT_INVALID
+        assert f"field '{field}'" in _err_line(capsys)
 
     def test_3d_needs_projection_flag(self, tmp_path, capsys):
         inst = _write(tmp_path, "tetra.json", TETRA)

@@ -18,7 +18,10 @@ from minnet.io import (
     serialize_instance,
     serialize_result,
 )
-from minnet.mdm import CompactSetDescriptor
+from minnet.cli import _mdm_result
+from minnet.geometry import DEFAULT_TOL
+from minnet.mdm import CompactSetDescriptor, horseshoe_circle
+from minnet.steiner import solve_exact
 
 MINIMAL_STEINER = {"dim": 2, "problem": "steiner", "terminals": [[0, 0], [1, 0]]}
 
@@ -69,6 +72,11 @@ class TestCanonicalJson:
             np.array([1.5, 2.25], dtype=np.float32),
             np.empty((0, 2)),
             np.empty((2, 0)),
+            np.array([[0, 1], [2**62, -(2**63)]], dtype=np.int64),
+            np.array([[1, -2], [3, 2**31 - 1]], dtype=np.int32),
+            np.array([[0, 2**64 - 1], [7, 8]], dtype=np.uint64),
+            np.empty((0, 2), dtype=np.int64),
+            np.array([[-0.0, 5e-324], [1.5, -0.0], [5e-324, -5e-324]]),
         ],
     )
     def test_array_fast_path_matches_the_recursion(self, arr):
@@ -86,6 +94,32 @@ class TestCanonicalJson:
         assert canonical_json([[1, 2], [3, 4]]) == b"[[1,2],[3,4]]"
         assert canonical_json([[1, True], [2.5, 3]]) == b"[[1,true],[2.5,3]]"
         assert canonical_json([(1, 2), [3, None]]) == b"[[1,2],[3,null]]"
+
+    @pytest.mark.parametrize("problem", ["mdm", "steiner"])
+    def test_result_tables_match_the_recursion(self, problem):
+        # A real result written table at a time, against the same object
+        # rebuilt from Python scalars, which only the recursion writes.
+        if problem == "mdm":
+            inst = parse_instance(_bytes(MDM_CIRCLE))
+            res = _mdm_result(inst, horseshoe_circle(3.0, 1.0)[0], DEFAULT_TOL, {"name": "horseshoe"})
+            assert len(res.report["energetic"]) > 0
+        else:
+            pts = np.array([[0.0, 0.0], [1.0, 0.1], [0.4, 0.9], [0.9, 0.8], [0.2, 0.5]])
+            tree = solve_exact(pts).tree
+            res = ResultFile(
+                SCHEMA_VERSION, "sha256:" + "0" * 64, "steiner", 2, tree.length, tree.coords(),
+                list(tree.topology.edges), n_terminals=len(pts),
+            )
+
+        def plain(obj):
+            if isinstance(obj, dict):
+                return {k: plain(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [plain(v) for v in obj]
+            return obj.tolist() if isinstance(obj, np.ndarray) else obj
+
+        obj = res.to_obj()
+        assert canonical_json(obj) == canonical_json(plain(obj))
 
     def test_unserializable_value_rejected(self):
         with pytest.raises(IoError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minnet.io import SCHEMA_VERSION, IoError, ResultFile, parse_result, serialize_result
+from minnet.mdm import horseshoe_stadium
 from minnet.steiner import solve_exact
 from minnet.svg import render_svg
 
@@ -194,3 +195,79 @@ class TestExactBytes:
             '<circle class="branch" cx="0.2500" cy="0.2500" r="0.0095" fill="#30638e"/>\n'
             "</g>\n</svg>\n"
         )
+
+
+def _fmt(x: float) -> str:
+    s = f"{x:.4f}"
+    return "0.0000" if s == "-0.0000" else s
+
+
+def _reference_svg(result: ResultFile, project: bool = False) -> str:
+    """The renderer written one coordinate at a time, the plainest form of
+    its rules, to pin the table-at-a-time formatting against."""
+    pts = result.vertices[:, :2] if project else result.vertices
+    r_tube = result.r if result.problem == "mdm" else None
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    margin = 0.0 if r_tube is None else r_tube
+    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)) + 2.0 * margin
+    pad = 0.08 * span
+    x0, y0 = lo[0] - margin - pad, lo[1] - margin - pad
+    w = float(hi[0] - lo[0]) + 2.0 * (margin + pad)
+    h = float(hi[1] - lo[1]) + 2.0 * (margin + pad)
+    stroke, r_dot, r_branch = span / 150.0, span / 70.0, span / 105.0
+    out = [_HEAD + f'viewBox="{_fmt(x0)} {_fmt(-y0 - h)} {_fmt(w)} {_fmt(h)}">']
+    if result.dim == 3:
+        out.append("<!-- orthographic projection of a 3-dimensional result (z dropped) -->")
+    out.append('<g class="frame" transform="scale(1,-1)">')
+    paths = [
+        f"M {_fmt(pts[i, 0])} {_fmt(pts[i, 1])} L {_fmt(pts[j, 0])} {_fmt(pts[j, 1])}" for i, j in result.edges
+    ]
+    if r_tube is not None:
+        tube = (
+            f'fill="none" stroke="#9ecae1" stroke-width="{_fmt(2.0 * r_tube)}" '
+            f'stroke-linecap="round" stroke-dasharray="{_fmt(4 * stroke)} {_fmt(3 * stroke)}" '
+            'stroke-opacity="0.45"'
+        )
+        out += [f'<path class="tube" d="{d}" {tube}/>' for d in paths]
+    out += [f'<path class="edge" d="{d}" ' + _EDGE.format(_fmt(stroke)) for d in paths]
+    n_term = result.n_terminals if result.n_terminals is not None else len(pts)
+    for k, (x, y) in enumerate(pts.tolist()):
+        kind, attrs = ("terminal", f'r="{_fmt(r_dot)}" fill="#d1495b"') if k < n_term else (
+            "branch", f'r="{_fmt(r_branch)}" fill="#30638e"'
+        )
+        out.append(f'<circle class="{kind}" cx="{_fmt(x)}" cy="{_fmt(y)}" {attrs}/>')
+    marker = f'r="{_fmt(1.6 * r_dot)}" fill="none" stroke="#e8a13c" stroke-width="{_fmt(0.8 * stroke)}"'
+    for q in result.report.get("energetic", []):
+        out.append(f'<circle class="energetic" cx="{_fmt(q[0])}" cy="{_fmt(q[1])}" {marker}/>')
+    return "\n".join(out + ["</g>", "</svg>"]) + "\n"
+
+
+class TestMatchesPerCoordinateReference:
+    """Every coordinate formatted on its own, as the reference does, gives
+    the same bytes as the renderer's one-format table."""
+
+    def test_coordinates_rounding_to_negative_zero(self):
+        v = np.array([[-4e-5, 0.0], [1.0, -4e-5], [-1.0, -0.00004999], [-0.0, 2.0], [-4e-5, -4e-5]])
+        res = ResultFile(
+            SCHEMA_VERSION, _DIGEST, "steiner", 2, 5.0, v, [(0, 4), (1, 4), (2, 4), (3, 4)], n_terminals=4,
+        )
+        svg = render_svg(res)
+        assert "-0.0000" not in svg
+        assert svg == _reference_svg(res)
+
+    def test_projected_3d_tree(self):
+        pts = np.array([[0.0, -4e-5, 0.0], [1.0, 0.0, 0.3], [0.5, 0.9, -0.4], [0.5, 0.3, 0.8], [0.1, 0.7, 0.2]])
+        res = _tree_result(pts)
+        assert res.dim == 3 and len(res.vertices) > len(pts)
+        assert render_svg(res, project=True) == _reference_svg(res, project=True)
+
+    def test_horseshoe_with_energetic_markers(self):
+        net = horseshoe_stadium(3.0, 1.0, 2.0)[0]
+        report = {"energetic": np.array([[-4e-5, 4.0], [2.5, -0.0], [-1.23456789, 3.5]])}
+        res = ResultFile(SCHEMA_VERSION, _DIGEST, "mdm", 2, net.length, net.vertices, list(net.edges), r=1.0,
+                         report=report)
+        svg = render_svg(res)
+        assert svg.count('class="energetic"') == 3
+        assert svg == _reference_svg(res)
+        back = parse_result(serialize_result(res))
+        assert render_svg(back) == svg
