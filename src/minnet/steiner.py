@@ -30,10 +30,12 @@ uncertified topologies, with eps driven toward machine scale.  Each eps
 level ends when every topology's Newton decrement reaches the round-off
 floor of its smoothed length, and backtracking starts near the last
 accepted step.  It never lengthens a topology, so monotonicity holds.
-With point terminals the finisher runs only on topologies near the
-running minimum; far-from-minimal stalls keep an honest ``converged=False``
-and a length that is a slight overestimate (upper bound) of their true
-optimum.  With ball terminals it runs on every topology whose bound can
+With point terminals the finisher runs only near the running minimum: at
+its finest eps level at the sweeps' pruning checkpoints, on topologies with
+a small duality gap, then fully on those the sweeps leave uncertified.
+Far-from-minimal stalls keep an honest ``converged=False`` and a length
+that is a slight overestimate (upper bound) of their true optimum.  With
+ball terminals it runs after the sweeps on every topology whose bound can
 still beat the shortest length.
 
 :func:`solve_exact` sweeps all full topologies as one batch (they share the
@@ -89,6 +91,9 @@ _BALL_SWEEPS = 50
 _EPS_LEVELS = range(3, 15)  # the finisher's smoothing levels, eps = 10^-k * scale
 # Sweeps of one tree before the nodes still moving are finished by Newton.
 _FINISH_AFTER = 40
+# Gates of the checkpoint finish in _gs_sweeps.  Without the gap gate, relax_topology on
+# the 3-d n = 32 caterpillar of corpus draw 32a takes 44-61 ms instead of 27 ms (2-CPU box).
+_FINISH_NEAR, _FINISH_GAP = 1e-3, 1e-2  # relative to the best length; times scale
 
 
 def _as_terminal_array(points) -> np.ndarray:
@@ -318,23 +323,27 @@ def _gs_sweeps(
     with its neighbours fixed, and length never increases.
 
     Only nodes that can move are recomputed.  A node is *stirred* when it
-    moved by more than ``move_target`` at its last update and its
-    neighbours have not been redone since.  The first sweep recomputes
-    every branch node; after it, a class pass recomputes only the nodes
-    with a stirred neighbour, then clears the other class's flags (it has
-    just read them) and flags its own nodes that moved.  A class with no
-    such node makes no kernel call.  Skipping is exact for the iteration:
-    the kernel is closed-form and works row by row, so a node whose three
-    neighbours stood still gets its own coordinates back bit for bit.  With
-    ``move_target`` 0 the sweeps equal full sweeps exactly; otherwise the
-    embedding differs from theirs by about ``move_target``.
+    moved by more than ``move_target`` at its last update and its neighbours
+    have not been redone since.  A topology's first sweep, and its first
+    after a Newton finish, recompute every branch node; otherwise a class
+    pass recomputes only the nodes with a stirred neighbour, then clears the
+    other class's flags (it has just read them) and flags its own nodes that
+    moved.  A class with no such node makes no kernel call.  Skipping is
+    exact: the kernel is closed-form and works row by row, so a node whose
+    three neighbours stood still gets its own coordinates back bit for bit.
+    With ``move_target`` 0 the sweeps equal full sweeps exactly; otherwise
+    the embedding differs from theirs by about ``move_target``.
 
     A topology leaves the batch after its first sweep that moves no node by
-    more than ``move_target``, so its embedding does not depend on how
-    slowly the others settle.  Given ``certify = (pruned, degen, eps_tie)``
-    and ``edg``, every 10 sweeps a still-moving topology also leaves, with
-    ``pruned`` set, once its certified lower bound exceeds the incumbent
-    (the shortest embedding seen in the batch) by ``eps_tie``.
+    more than ``move_target``, so without ``certify`` its embedding does
+    not depend on how slowly the others settle.  Given ``certify = (bounds,
+    degen, eps_tie, scale, steps)`` and ``edg``, every 10 sweeps a
+    still-moving topology also leaves once its certified lower bound exceeds
+    the incumbent (the shortest embedding seen in the batch) by ``eps_tie``,
+    that bound written to ``bounds`` (NaN elsewhere).  With point terminals,
+    those within ``_FINISH_NEAR`` of the incumbent and ``_FINISH_GAP * scale``
+    of their bound then get :func:`_newton_finish`'s finest eps level, kept
+    where it shortens them, and its step count goes to ``steps``.
 
     Given ``balls = (centers, radii, leaf_nbr)``, the first n nodes are not
     fixed terminals but leaves free in the balls B(centers[i], radii[i]):
@@ -347,8 +356,9 @@ def _gs_sweeps(
     colour = _colour_classes(nb, n)
     Xa, nba = X, nb
     stirred = np.zeros((len(nb), X.shape[1]), dtype=bool)
+    fresh = np.zeros(len(nb), dtype=bool)  # just finished: recompute every node
     if certify is not None:
-        pruned, degen, eps_tie = certify
+        bounds, degen, eps_tie, scale, steps = certify
         best = _total_lengths(X, edg)
     sweeps = 0
     classes = None
@@ -364,7 +374,7 @@ def _gs_sweeps(
             Xa[:, :n] = new
         for rows, cols, nbrs in classes:
             if sweeps:
-                due = stirred[rows[:, None], nbrs].any(axis=1)
+                due = fresh[rows] | stirred[rows[:, None], nbrs].any(axis=1)
                 rows, cols, nbrs = rows[due], cols[due], nbrs[due]
                 stirred[:, n:] = False
                 if not len(rows):
@@ -375,6 +385,7 @@ def _gs_sweeps(
             stirred[rows, cols] = moved
             keep[rows[moved]] = True
         sweeps += 1
+        fresh[:] = False
         if trace is not None and edg is not None:
             if Xa is not X:
                 X[act] = Xa
@@ -382,18 +393,27 @@ def _gs_sweeps(
         if certify is not None and sweeps % 10 == 0:
             best[act] = _total_lengths(Xa, edg[act])
             cutoff = best.min() * (1.0 + eps_tie)
-            far = np.flatnonzero(keep & (best[act] > cutoff))
-            if len(far):
-                dead = far[_lower_bounds(Xa[far], edg[act[far]], n, degen, balls) > cutoff]
-                pruned[act[dead]] = True
-                keep[dead] = False
+            rows = np.flatnonzero(keep)
+            lb = _lower_bounds(Xa[rows], edg[act[rows]], n, degen, balls)
+            dead = lb > cutoff
+            bounds[act[rows[dead]]] = lb[dead]
+            keep[rows[dead]] = False
+            near = ~dead & (best[act[rows]] - lb <= _FINISH_GAP * scale)
+            near = rows[near & (best[act[rows]] <= best.min() * (1.0 + _FINISH_NEAR))]
+            if balls is None and len(near):
+                before = Xa[near]
+                steps.append(_newton_finish(Xa, edg[act], n, near, scale, degen, levels=_EPS_LEVELS[-1:]))
+                # A tie, moved along a flat direction, would be swept back and finished again.
+                tie = _total_lengths(Xa[near], edg[act[near]]) >= best[act[near]]
+                Xa[near[tie]] = before[tie]
+                fresh[near[~tie]] = True
         if not keep.all() and sweeps < max_sweeps:
             if Xa is not X:
                 X[act] = Xa
             if certify is not None:
                 best[act[~keep]] = _total_lengths(Xa[~keep], edg[act[~keep]])
             act = act[keep]
-            Xa, nba, stirred = X[act], nb[act], stirred[keep]
+            Xa, nba, stirred, fresh = X[act], nb[act], stirred[keep], fresh[keep]
             classes = None
     if Xa is not X:
         X[act] = Xa
@@ -547,11 +567,12 @@ def _relax_batch(
 
     Returns (X, lengths, converged, gaps, traces, pruned, sweeps,
     newton_steps).  ``gaps`` is each length minus its :func:`_lower_bounds`
-    value, taken after the sweeps and again after the finisher; ``converged``
-    means the gap is at most ``eps_len * scale``, so the length is certified
-    within that of the topology's optimum.  ``pruned`` marks unconverged
-    topologies whose lower bound exceeds the shortest length by more than
-    ``eps_tie``.  ``newton_steps`` sums the finisher's steps.
+    value: the one that pruned it, else one taken after the sweeps and the
+    finisher.  ``converged`` means the gap is at most ``eps_len * scale``, so
+    the length is certified within that of the topology's optimum.
+    ``pruned`` marks unconverged topologies whose lower bound exceeds the
+    shortest length by more than ``eps_tie``.  ``newton_steps`` sums the
+    finisher's steps in and after the sweeps (:func:`_gs_sweeps`).
 
     Given ``radii``, terminal i is the ball B(terminals[i], radii[i]), and
     uncertified topologies are finished one at a time, lowest bound first,
@@ -563,11 +584,10 @@ def _relax_batch(
     scale = instance_scale(terminals)
     X = np.empty((T, n + s, d))
     X[:, :n] = terminals[None]
-    pruned = np.zeros(T, dtype=bool)
     if scale == 0.0:
         X[:, n:] = terminals[0]
         lengths = np.zeros(T)
-        return X, lengths, np.ones(T, dtype=bool), np.zeros(T), [np.zeros(T)], pruned, 0, 0
+        return X, lengths, np.ones(T, dtype=bool), np.zeros(T), [np.zeros(T)], np.zeros(T, dtype=bool), 0, 0
 
     X[:, n:] = _harmonic_init(terminals, nb)
     trace: list | None = [] if record_trace else None
@@ -579,18 +599,20 @@ def _relax_batch(
         balls = (terminals, radii, np.take_along_axis(edg[..., ::-1].reshape(T, -1), first, axis=1))
 
     cap = _MAX_SWEEPS if balls is None else _BALL_SWEEPS
-    sweeps = _gs_sweeps(X, nb, n, move_target, cap, edg, trace, (pruned, degen, tol.eps_tie), balls)
+    lb, steps = np.full(T, np.nan), []
+    sweeps = _gs_sweeps(X, nb, n, move_target, cap, edg, trace, (lb, degen, tol.eps_tie, scale, steps), balls)
+    pruned = ~np.isnan(lb)  # these carry the bound that pruned them
     lengths = _total_lengths(X, edg)
-    lb = _lower_bounds(X, edg, n, degen, balls)
+    lb[~pruned] = _lower_bounds(X[~pruned], edg[~pruned], n, degen, balls)
     open_ = (lengths - lb > tol.eps_len * scale) & ~pruned
-    newton_steps = 0
+    newton_steps = sum(steps)
     if balls is None:
         # Only topologies near the current best length matter downstream, so
         # the finisher skips far-from-minimal ones and certified non-minimal
         # ones; those keep an honest converged=False.
-        flagged = np.flatnonzero(open_ & (lengths <= lengths.min() * (1.0 + 1e-3)))
+        flagged = np.flatnonzero(open_ & (lengths <= lengths.min() * (1.0 + _FINISH_NEAR)))
         if len(flagged):
-            newton_steps = _newton_finish(X, edg, n, flagged, scale, degen)
+            newton_steps += _newton_finish(X, edg, n, flagged, scale, degen)
             lengths = _total_lengths(X, edg)
             lb[flagged] = _lower_bounds(X[flagged], edg[flagged], n, degen)
     else:
@@ -604,7 +626,7 @@ def _relax_batch(
     converged = gaps <= tol.eps_len * scale
     pruned = (pruned | (lb > lengths.min() * (1.0 + tol.eps_tie))) & ~converged
     if trace is not None and (not trace or np.any(trace[-1] != lengths)):
-        trace.append(lengths)  # the finisher runs outside the sweep loop
+        trace.append(lengths)  # the last finisher runs after the sweep loop
     return X, lengths, converged, gaps, trace, pruned, sweeps, newton_steps
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -35,7 +36,7 @@ from minnet.steiner import (
     solve_exact,
     verify_tree,
 )
-from minnet.topology import Topology, _branch_neighbours, enumerate_full_topologies
+from minnet.topology import Topology, _branch_neighbours, _full_topology_arrays, enumerate_full_topologies
 
 MIN_ANGLE = 2.0 * math.pi / 3.0
 
@@ -336,13 +337,13 @@ def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certif
     """Reference sweep driver: every sweep recomputes every branch node.
 
     ``_gs_sweeps`` without its active set, with the same retirement, trace,
-    certificate and ball-leaf rules; a topology's largest move decides
-    whether it stays in the batch.
+    certificate, checkpoint finish and ball-leaf rules; a topology's largest
+    move decides whether it stays in the batch.
     """
     act = np.arange(len(nb))
     colour = _colour_classes(nb, n)
     if certify is not None:
-        pruned, degen, eps_tie = certify
+        bounds, degen, eps_tie, scale, steps = certify
         best = steiner._total_lengths(X, edg)
     sweeps = 0
     while sweeps < max_sweeps and len(act):
@@ -372,9 +373,20 @@ def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certif
             cutoff = best.min() * (1.0 + eps_tie)
             far = np.flatnonzero(keep & (best[act] > cutoff))
             if len(far):
-                dead = far[_lower_bounds(Xa[far], edg[act[far]], n, degen, balls) > cutoff]
-                pruned[act[dead]] = True
-                keep[dead] = False
+                lb = _lower_bounds(Xa[far], edg[act[far]], n, degen, balls)
+                dead = lb > cutoff
+                bounds[act[far[dead]]] = lb[dead]
+                keep[far[dead]] = False
+            near = np.flatnonzero(keep & (best[act] <= best.min() * (1.0 + steiner._FINISH_NEAR)))
+            if balls is None and len(near):
+                lb = _lower_bounds(Xa[near], edg[act[near]], n, degen)
+                near = near[best[act[near]] - lb <= steiner._FINISH_GAP * scale]
+                if len(near):
+                    Y = Xa.copy()
+                    levels = steiner._EPS_LEVELS[-1:]
+                    steps.append(steiner._newton_finish(Y, edg[act], n, near, scale, degen, levels=levels))
+                    gain = near[steiner._total_lengths(Y[near], edg[act[near]]) < best[act[near]]]
+                    X[act[gain]] = Y[gain]
         if not keep.all() and sweeps < max_sweeps:
             if certify is not None:
                 best[act[~keep]] = steiner._total_lengths(Xa[~keep], edg[act[~keep]])
@@ -500,6 +512,23 @@ class TestLowerBound:
         pts = np.random.default_rng(seed).uniform(0.0, 1.0, (n, d))
         best = min(relax_topology(pts, topo).length for topo in enumerate_full_topologies(n))
         assert solve_exact(pts).tree.length == pytest.approx(best, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            pytest.param(np.random.default_rng(7).uniform(0.0, 1.0, (7, 2)), id="uniform_n7"),
+            pytest.param(_jittered_ngon(np.random.default_rng(6), 6, 2), id="jittered_hexagon"),
+        ],
+    )
+    def test_gaps_are_fresh_bounds(self, pts):
+        # A pruned topology keeps the bound that pruned it, the others are
+        # bounded after the sweeps: either way the bound of its final embedding.
+        n = len(pts)
+        nb, edg = _full_topology_arrays(n, 9)
+        X, lengths, _, gaps, _, pruned, *_ = steiner._relax_batch(pts, nb, edg, DEFAULT_TOL)
+        assert pruned.any() and not pruned.all()
+        fresh = _lower_bounds(X, edg, n, DEFAULT_TOL.eps_len * instance_scale(pts))
+        assert np.array_equal(lengths - gaps, fresh)
 
     def test_sweeps_do_not_depend_on_batch(self):
         # A topology leaves the batch when it settles, so its embedding is the
@@ -1192,3 +1221,52 @@ class TestNewtonFinish:
         res = solve_exact([(0.2, 0.3), (0.2 + 1e-8, 0.3), (0.3, 0.9), (0.7, 0.85), (0.4, 0.0)])
         assert res.tree.converged
         assert steps and res.newton_steps == sum(steps) > 0
+
+
+class TestCheckpointFinish:
+    """Near-best topologies still moving at a pruning checkpoint get Newton's finest level."""
+
+    @pytest.mark.parametrize(
+        "pts,max_sweeps,length,gap",
+        [
+            # Sweeps before the checkpoint finish: 95, 132 and 53.  The
+            # lengths and gaps are those of the winners then.
+            pytest.param(experiments.zigzag_instance(6), 30, 8.717797887081346, 1.4143353155304794e-11, id="zigzag6"),
+            pytest.param(experiments.zigzag_instance(7), 20, 10.392304845413264, 6.31636964953941e-11, id="zigzag7"),
+            pytest.param(
+                np.random.default_rng(1).uniform(0.0, 1.0, (6, 2)), 25, 1.8059093611434938, 1.907141111701094e-12,
+                id="uniform_n6",
+            ),
+        ],
+    )
+    def test_fewer_sweeps_same_winner(self, pts, max_sweeps, length, gap):
+        res = solve_exact(pts)
+        assert res.tree.converged
+        assert res.sweeps <= max_sweeps
+        assert res.tree.length == pytest.approx(length, rel=1e-14)
+        assert res.gap <= gap
+
+    def test_checkpoint_steps_are_counted(self, monkeypatch):
+        # zigzag6 needs no finish after its sweeps: every step is taken at a checkpoint.
+        calls = []
+        finish = steiner._newton_finish
+
+        def record(*args, **kwargs):
+            calls.append((kwargs.get("levels"), finish(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(steiner, "_newton_finish", record)
+        res = solve_exact(experiments.zigzag_instance(6))
+        assert calls and all(levels == steiner._EPS_LEVELS[-1:] for levels, _ in calls)
+        assert res.newton_steps == sum(steps for _, steps in calls) > 0
+
+    def test_a_tie_is_not_kept(self):
+        # Instance 275 of the stream: its winner has a branch node 2e-8 from a
+        # terminal.  A finish that kept its equal-length iterate moved it by
+        # 4e-10 at every checkpoint, and the sweeps, which moved it back, ran
+        # to the 3000-sweep cap; without the checkpoint finish it takes 64.
+        pts = next(itertools.islice(_degenerate_stream(7, 300), 275, None))
+        res = solve_exact(pts)
+        assert res.tree.converged
+        assert res.sweeps <= 64
+
