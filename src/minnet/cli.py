@@ -22,6 +22,7 @@ Everything runs offline on local files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -386,6 +387,7 @@ def _add_common(p, *, infile=True, out=True, tol=True) -> None:
         p.add_argument("--tol", type=float, default=None, metavar="SCALE")
 
 
+@functools.cache  # argparse keeps no state between parses, so one tree serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="minnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -434,9 +436,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cli_dispatch(argv) -> int:
     """Parse argv (no program name) and run one subcommand; returns exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:  # argparse already printed usage / message
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else EXIT_USAGE)

@@ -38,12 +38,17 @@ that is a slight overestimate (upper bound) of their true optimum.  With
 ball terminals it runs after the sweeps on every topology whose bound can
 still beat the shortest length.
 
-:func:`solve_exact` sweeps all full topologies as one batch (they share the
-same array shapes for a given terminal count), and each topology retires
-from the batch on its own: once a sweep moves none of its branch nodes, or
-once its lower bound prunes it.  No topology is dropped on a guess, so the
-winner and every cominimal topology are always fully relaxed; cominimal
-topologies are reported within a relative tie tolerance.
+:func:`solve_exact` first bounds every full topology at its harmonic start,
+against the shorter of the terminals' minimum spanning tree and the shortest
+harmonic embedding: both are lengths of real trees, so a topology whose
+bound exceeds that cutoff by ``eps_tie`` is certified non-minimal without a
+sweep (the first step of Smith's branch-and-bound, *Algorithmica* 7, 1992).
+It sweeps the survivors as one batch (they share the same array shapes for
+a given terminal count), and each topology retires from the batch on its
+own: once a sweep moves none of its branch nodes, or once its lower bound
+prunes it.  No topology is dropped on a guess, so the winner and every
+cominimal topology are always fully relaxed; cominimal topologies are
+reported within a relative tie tolerance.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
 from .geometry import (
     DEFAULT_TOL,
@@ -94,6 +99,10 @@ _FINISH_AFTER = 40
 # Gates of the checkpoint finish in _gs_sweeps.  Without the gap gate, relax_topology on
 # the 3-d n = 32 caterpillar of corpus draw 32a takes 44-61 ms instead of 27 ms (2-CPU box).
 _FINISH_NEAR, _FINISH_GAP = 1e-3, 1e-2  # relative to the best length; times scale
+# Fewest topologies for which solve_exact bounds them all at their harmonic start.
+# That pass can cut nothing at n = 3, cost more than it saved at n = 4 and saved
+# nothing measurable at n = 5 (1, 3 and 15 topologies; 2-CPU box).
+_START_PASS_MIN = 105
 
 
 def _as_terminal_array(points) -> np.ndarray:
@@ -222,7 +231,7 @@ def _total_lengths(X: np.ndarray, edg: np.ndarray) -> np.ndarray:
     return np.linalg.norm(X[t_idx, edg[:, :, 0]] - X[t_idx, edg[:, :, 1]], axis=2).sum(axis=1)
 
 
-def _lower_bounds(X, edg, n: int, degen: float, balls=None) -> np.ndarray:
+def _lower_bounds(X, edg, n: int, degen: float, balls=None, rounds: int = _DUAL_ROUNDS) -> np.ndarray:
     """Certified lower bound on each topology's optimal length, from embedding X.
 
     Weak duality for a sum of norms (the dual of Xue & Ye, SIAM J. Optim. 7,
@@ -239,6 +248,10 @@ def _lower_bounds(X, edg, n: int, degen: float, balls=None) -> np.ndarray:
     at branch node i is bounded over the terminals' convex hull, where an
     optimal embedding lies: ``L* >= sum_e u_e . D_e + sum_i min_t r_i.(p_t - x_i)``.
 
+    ``rounds`` sets the number of clip rounds (``_DUAL_ROUNDS`` by default).
+    Any number gives a sound bound; one round costs about half as much and
+    is usually looser, which suits a first pass over many rows.
+
     Given ``balls`` as for :func:`_gs_sweeps`, leaf t is free in B(c_t, rho_t):
     its part x_t . div_t is at least c_t . div_t - rho_t |div_t|, and the hull
     term becomes min_t r_i . (c_t - x_i) - rho_t |r_i|.  For fixed terminals,
@@ -250,7 +263,7 @@ def _lower_bounds(X, edg, n: int, degen: float, balls=None) -> np.ndarray:
     if T > _BOUND_BLOCK:
         cut = range(_BOUND_BLOCK, T, _BOUND_BLOCK)
         parts = zip(np.split(X, cut), np.split(edg, cut))
-        return np.concatenate([_lower_bounds(x, e, n, degen, balls) for x, e in parts])
+        return np.concatenate([_lower_bounds(x, e, n, degen, balls, rounds) for x, e in parts])
     e_idx = np.arange(edg.shape[1])
     t_idx = np.arange(T)[:, None]
     delta = X[t_idx, edg[..., 0]] - X[t_idx, edg[..., 1]]
@@ -264,9 +277,9 @@ def _lower_bounds(X, edg, n: int, degen: float, balls=None) -> np.ndarray:
     B = full[:, n:]
     Bt = B.transpose(0, 2, 1)
     lap = B @ (w * Bt)
-    for k in range(_DUAL_ROUNDS + 1):
+    for k in range(rounds + 1):
         u += w * (Bt @ np.linalg.solve(lap, -(B @ u)))
-        if k < _DUAL_ROUNDS:
+        if k < rounds:
             u /= np.maximum(np.linalg.norm(u, axis=2), 1.0)[..., None]
     u /= np.linalg.norm(u, axis=2).max(axis=1)[:, None, None]
     r = B @ u
@@ -542,15 +555,16 @@ def _newton_finish(
             best[better], best_len[better] = Y[better], cur[better]
     m = n + s
     f, e = np.nonzero(np.linalg.norm(segments(best), axis=2) <= degen)
-    root = _cluster_roots(F, m, f, ends[f, e, 0], ends[f, e, 1])
-    flat = (root + f_idx * m).ravel()
-    mean = np.zeros((F * m, d))
-    np.add.at(mean, flat, best.reshape(-1, d))
-    mean /= np.bincount(flat, minlength=F * m).clip(1)[:, None]
-    snap = best.copy()
-    snap[:, n:] = np.where((root < n)[..., None], best[f_idx, root], mean[flat].reshape(F, m, d))[:, n:]
-    better = _total_lengths(snap, ends) <= best_len
-    best[better] = snap[better]
+    if len(f):  # with no edge <= degen every cluster is one node, and the snap is void
+        root = _cluster_roots(F, m, f, ends[f, e, 0], ends[f, e, 1])
+        flat = (root + f_idx * m).ravel()
+        mean = np.zeros((F * m, d))
+        np.add.at(mean, flat, best.reshape(-1, d))
+        mean /= np.bincount(flat, minlength=F * m).clip(1)[:, None]
+        snap = best.copy()
+        snap[:, n:] = np.where((root < n)[..., None], best[f_idx, root], mean[flat].reshape(F, m, d))[:, n:]
+        better = _total_lengths(snap, ends) <= best_len
+        best[better] = snap[better]
     X[rows] = best
     return steps
 
@@ -562,6 +576,7 @@ def _relax_batch(
     tol: ToleranceConfig,
     record_trace: bool = False,
     radii: np.ndarray | None = None,
+    incumbent: float | None = None,
 ):
     """Relax the full topologies ``nb``, ``edg`` (as ``topology._full_topology_arrays`` builds).
 
@@ -577,6 +592,13 @@ def _relax_batch(
     Given ``radii``, terminal i is the ball B(terminals[i], radii[i]), and
     uncertified topologies are finished one at a time, lowest bound first,
     while a bound is within ``eps_tie`` of the shortest length.
+
+    Given ``incumbent``, the length of a tree on the terminals, every
+    topology is first bounded at its harmonic start (1 dual round, then 5 on
+    the survivors) against min(``incumbent``, shortest harmonic length) times
+    ``1 + eps_tie``.  The rows cut keep that embedding and bound; only the
+    others are swept, and every checkpoint's shortest length is still the
+    one the whole batch would reach.
     """
     n, d = terminals.shape
     s = n - 2
@@ -600,7 +622,18 @@ def _relax_batch(
 
     cap = _MAX_SWEEPS if balls is None else _BALL_SWEEPS
     lb, steps = np.full(T, np.nan), []
-    sweeps = _gs_sweeps(X, nb, n, move_target, cap, edg, trace, (lb, degen, tol.eps_tie, scale, steps), balls)
+    live = np.arange(T)
+    if incumbent is not None:
+        cutoff = min(incumbent, _total_lengths(X, edg).min()) * (1.0 + tol.eps_tie)
+        for rounds in (1, _DUAL_ROUNDS):
+            bound = _lower_bounds(X[live], edg[live], n, degen, rounds=rounds)
+            cut = bound > cutoff
+            lb[live[cut]] = bound[cut]
+            live = live[~cut]
+    Xl, lbl = X[live], lb[live]
+    certify = (lbl, degen, tol.eps_tie, scale, steps)
+    sweeps = _gs_sweeps(Xl, nb[live], n, move_target, cap, edg[live], trace, certify, balls)
+    X[live], lb[live] = Xl, lbl
     pruned = ~np.isnan(lb)  # these carry the bound that pruned them
     lengths = _total_lengths(X, edg)
     lb[~pruned] = _lower_bounds(X[~pruned], edg[~pruned], n, degen, balls)
@@ -772,7 +805,12 @@ def solve_exact(
         return SolveResult(tree, [topo], 1, 0)
 
     nb, edg = _full_topology_arrays(n, n_max)
-    X, lengths, converged, gaps, _, pruned, sweeps, newton_steps = _relax_batch(pts, nb, edg, tol)
+    span = None
+    if len(edg) >= _START_PASS_MIN:
+        # A spanning tree of the terminals is a real tree (scipy drops the zero
+        # distances of duplicates, which only lengthens it), so it bounds the optimum.
+        span = float(minimum_spanning_tree(squareform(pdist(pts))).sum())
+    X, lengths, converged, gaps, _, pruned, sweeps, newton_steps = _relax_batch(pts, nb, edg, tol, incumbent=span)
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))

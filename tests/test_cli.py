@@ -107,6 +107,22 @@ class TestUsageErrors:
         assert cli_dispatch(["steiner", "solve"]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_one_parser_serves_successive_calls(self, tmp_path, capsys):
+        # A valid command, a usage error, then another subcommand in one
+        # process: each exits and prints exactly as in a fresh process.
+        inst = _write(tmp_path, "square.json", SQUARE)
+        calls = (
+            (["steiner", "count", "--n", "6"], EXIT_OK),
+            (["steiner", "frobnicate"], EXIT_USAGE),
+            (["steiner", "ratio", "--in", inst], EXIT_OK),
+        )
+        for argv, expected in calls:
+            code = cli_dispatch(argv)
+            got = capsys.readouterr()
+            fresh = _run_cli(argv)
+            assert code == expected
+            assert (code, got.out, got.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
 
 class TestSteinerCommands:
     def test_count_six_terminals(self, capsys):

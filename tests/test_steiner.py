@@ -1270,3 +1270,45 @@ class TestCheckpointFinish:
         assert res.tree.converged
         assert res.sweeps <= 64
 
+
+
+class TestStartPass:
+    """solve_exact bounds every topology at its harmonic start and sweeps only the survivors."""
+
+    def test_one_round_bound_at_the_start_is_sound(self):
+        pts = np.random.default_rng(66).uniform(0.0, 1.0, (6, 2))
+        topologies = enumerate_full_topologies(6)
+        ref = np.array([relax_topology(pts, topo).length for topo in topologies])
+        X, _, edg = _embeddings_after(pts, topologies, 0)
+        scale = instance_scale(pts)
+        lb = _lower_bounds(X, edg, 6, DEFAULT_TOL.eps_len * scale, rounds=1)
+        assert len(lb) == 105
+        assert np.all(lb <= ref + 1e-12 * scale), (lb - ref).max()
+
+    def test_crawlers_of_corpus_8b_are_cut_at_the_start(self):
+        # Two crawlers, 2 % and 21 % above the minimum, used to sweep to the
+        # 3000-sweep cap; their harmonic-start bounds already exceed the cutoff.
+        pts = np.random.default_rng([20251118, 8, 2, 98]).random((8, 2))
+        res = solve_exact(pts)
+        assert res.n_topologies == 10395
+        assert res.sweeps <= 200
+        assert res.tree.converged
+        assert res.tree.length == pytest.approx(1.4689517145604931, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            pytest.param([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (0.5, 0.8), (1.0, 0.0), (0.2, 0.9)], id="duplicated"),
+            pytest.param([(0.0, 0.0), (1.0, 0.5), (2.5, 1.25), (3.0, 1.5), (4.0, 2.0), (0.5, 0.25)], id="collinear"),
+        ],
+    )
+    def test_degenerate_sets_keep_their_winners(self, pts):
+        # The winner of the full batch relaxed from the start, as _relax_batch
+        # does without a cutoff, is solve_exact's winner bit for bit.
+        pts = np.array(pts)
+        nb, edg = _full_topology_arrays(6, 9)
+        _, lengths, *_ = steiner._relax_batch(pts, nb, edg, DEFAULT_TOL)
+        res = solve_exact(pts)
+        assert res.n_topologies == 105
+        assert res.tree.length == lengths.min()
+        assert res.tree.topology.edges == tuple(map(tuple, edg[np.argmin(lengths)].tolist()))
