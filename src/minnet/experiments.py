@@ -186,6 +186,11 @@ def heuristic_steiner(points) -> EmbeddedTree:
     make the scan's insertions.  The round ends by renumbering its new nodes
     into the scan's creation order, so the tree, its trace and ``converged``
     are the scan's, bit for bit.
+
+    The tree is a padded (2n - 2, K) neighbour table plus a degree array, K
+    the larger of 3 and the spanning tree's largest degree.  A wave sorts its
+    ready rows with one ``argsort`` and rewires its insertions with one
+    scatter; a round's renumbering is one permutation of the table.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -199,52 +204,48 @@ def heuristic_steiner(points) -> EmbeddedTree:
     scale = instance_scale(pts)
     gain_tol = 1e-12 * scale
     # Each insertion lowers one input point's degree by one and never raises
-    # another, so at most n - 2 branch points ever appear.
+    # another, so at most n - 2 branch points ever appear, and no node
+    # outgrows the spanning tree's largest degree or 3.
     coords = np.vstack([pts, np.empty((n - 2, d))])
     n_nodes = n
-    adj: list[set[int]] = [set() for _ in range(2 * n - 2)]
-    edges: set[tuple[int, int]] = set()
+    ends = np.array(base.edges, dtype=np.intp)
+    ends = np.concatenate([ends, ends[:, ::-1]])
+    u, w = ends[np.argsort(ends[:, 0])].T
+    deg = np.bincount(u, minlength=2 * n - 2)
+    # Row u of the table holds u's neighbours in some deg[u] of its slots, -1 in the rest.
+    tab = np.full((2 * n - 2, max(3, int(deg.max()))), -1)
+    tab[u, np.arange(len(u)) - np.searchsorted(u, u)] = w
     # Neighbour sort key: the node id, except that a node inserted this round
     # at input point v as its c-th insertion gets 2n + v*n + c, the scan's
-    # creation order, until the round ends and renumbers it.
-    key = list(range(2 * n - 2))
-
-    def _add(u: int, v: int) -> None:
-        edges.add((min(u, v), max(u, v)))
-        adj[u].add(v)
-        adj[v].add(u)
-
-    def _drop(u: int, v: int) -> None:
-        edges.discard((min(u, v), max(u, v)))
-        adj[u].discard(v)
-        adj[v].discard(u)
-
-    for u, v in base.edges:
-        _add(u, v)
+    # creation order, until the round ends and renumbers it.  The last entry
+    # sorts the table's free slots (-1) after every node.
+    key = np.append(np.arange(2 * n - 2), np.iinfo(np.intp).max)
 
     trace = [base.length]
     converged = False
     for _ in range(_MAX_ROUNDS):
         n0 = n_nodes
-        pending = np.array([len(adj[v]) >= 2 for v in range(n)])
-        # Input-point pairs joined at the round start: insertions only remove
-        # such edges, so this superset is enough to order the waves.
-        tt = np.array([e for e in edges if e[1] < n], dtype=np.intp).reshape(-1, 2)
-        tt = tt[pending[tt[:, 0]] & pending[tt[:, 1]]]
-        chain = [0] * n
+        pending = deg[:n] >= 2
+        # Input-point pairs (lo, hi) joined at the round start: insertions
+        # only remove such edges, so this superset is enough to order the waves.
+        lo, c = np.nonzero((tab[:n] > np.arange(n)[:, None]) & (tab[:n] < n))
+        hi = tab[lo, c]
+        both = pending[lo] & pending[hi]
+        lo, hi = lo[both], hi[both]
+        chain = np.zeros(n, dtype=np.intp)
         while pending.any():
             # A point waits while a lower-index input-point neighbour is pending.
             blocked = np.zeros(n, dtype=bool)
-            blocked[tt[pending[tt[:, 0]], 1]] = True
+            blocked[hi[pending[lo]]] = True
             ready = np.flatnonzero(pending & ~blocked)
             pending[ready] = False
-            nbs = [sorted(adj[v], key=key.__getitem__) for v in ready.tolist()]
-            deg = np.array([len(nb) for nb in nbs])
+            rows = tab[ready]
+            rows = np.take_along_axis(rows, np.argsort(key[rows], axis=1), axis=1)
+            deg_ready = deg[ready]
             picks = []
-            for k in np.unique(deg).tolist():
-                rows = np.flatnonzero(deg == k)
-                vs = ready[rows]
-                nb = np.array([nbs[i] for i in rows.tolist()], dtype=np.intp)
+            for k in np.unique(deg_ready).tolist():
+                at = np.flatnonzero(deg_ready == k)
+                vs, nb = ready[at], rows[at, :k]
                 vec = coords[nb] - coords[vs][:, None]
                 nrm = np.linalg.norm(vec, axis=2)
                 unit = vec / np.maximum(nrm, 1e-300)[:, :, None]
@@ -262,49 +263,46 @@ def heuristic_steiner(points) -> EmbeddedTree:
             s = fermat_point_triples(coords[tri])
             star = np.linalg.norm(coords[tri] - s[:, None], axis=2).sum(axis=1)
             keep = span - star > gain_tol
-            s = s[keep]
-            coords[n_nodes : n_nodes + len(s)] = s
-            for vi, ai, bi in zip(v[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
-                key[n_nodes] = 2 * n + vi * n + chain[vi]
-                chain[vi] += 1
-                _drop(ai, vi)
-                _drop(bi, vi)
-                _add(ai, n_nodes)
-                _add(bi, n_nodes)
-                _add(vi, n_nodes)
-                n_nodes += 1
-                pending[vi] = len(adj[vi]) >= 2
-        inserted = n_nodes - n0
+            v, a, b, tri = v[keep], a[keep], b[keep], tri[keep]
+            new = np.arange(n_nodes, n_nodes + len(v))
+            n_nodes += len(v)
+            coords[new] = s[keep]
+            key[new] = 2 * n + v * n + chain[v]
+            chain[v] += 1
+            # Reroute v-a and v-b through the new node; the slots are found
+            # before any is written, and no two insertions share one.
+            va, vb, av, bv = (
+                np.argmax(tab[x] == y[:, None], axis=1) for x, y in ((v, a), (v, b), (a, v), (b, v))
+            )
+            tab[v, va], tab[v, vb], tab[a, av], tab[b, bv] = new, -1, new, new
+            tab[new, :3] = tri
+            deg[v] -= 1
+            deg[new] = 3
+            pending[v] = deg[v] >= 2
 
         # Give the round's new nodes the ids the scan would have given them.
-        order = sorted(range(n0, n_nodes), key=key.__getitem__)
-        if order != list(range(n0, n_nodes)):
-            ren = list(range(n_nodes))
-            for new, old in enumerate(order, n0):
-                ren[old] = new
-            moved = adj[n0:n_nodes]
-            for w in set().union(*moved).difference(range(n0, n_nodes)):
-                adj[w] = {ren[x] for x in adj[w]}
-            for old, nbrs in enumerate(moved, n0):
-                adj[ren[old]] = {ren[x] for x in nbrs}
-            renamed = {(min(ren[u], ren[w]), max(ren[u], ren[w])) for u, w in edges}
-            edges.clear()
-            edges.update(renamed)
-            coords[n0:n_nodes] = coords[order]
-        key[n0:n_nodes] = range(n0, n_nodes)
+        order = n0 + np.argsort(key[n0:n_nodes])
+        ren = np.append(np.arange(2 * n - 2), -1)  # ren[-1] keeps free slots free
+        ren[order] = np.arange(n0, n_nodes)
+        tab = ren[tab]
+        tab[n0:n_nodes] = tab[order]
+        coords[n0:n_nodes] = coords[order]
+        key[n0:n_nodes] = np.arange(n0, n_nodes)
 
         settled = True
         if n_nodes > n:
-            nb = np.array([sorted(adj[i]) for i in range(n, n_nodes)], dtype=int)
+            nb = np.sort(tab[n:n_nodes, :3], axis=1)
             settled = _relax_forest(coords, nb, n, 1e-9 * scale, _RELAX_SWEEPS, scale) < _RELAX_SWEEPS
-        e = np.array(sorted(edges), dtype=int)
-        trace.append(float(np.linalg.norm(coords[e[:, 0]] - coords[e[:, 1]], axis=1).sum()))
-        if inserted == 0 and settled:
+        # The edges (u, w), u < w, in sorted order.
+        srt = np.sort(tab[:n_nodes], axis=1)
+        u, c = np.nonzero(srt > np.arange(n_nodes)[:, None])
+        w = srt[u, c]
+        trace.append(float(np.linalg.norm(coords[u] - coords[w], axis=1).sum()))
+        if n_nodes == n0 and settled:
             converged = True
             break
 
-    e_final = tuple(sorted(edges))
-    topo = Topology(n, n_nodes - n, e_final)
+    topo = Topology(n, n_nodes - n, tuple(zip(u.tolist(), w.tolist())))
     return EmbeddedTree(topo, pts, coords[n:n_nodes].copy(), trace[-1], converged, tuple(trace))
 
 

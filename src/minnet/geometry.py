@@ -69,6 +69,21 @@ def as_point(p) -> np.ndarray:
     return arr
 
 
+def _check_extent(pts: np.ndarray) -> None:
+    """Raise unless the squared extent of ``pts`` (n, d) is a normal float or 0.
+
+    Relative tolerances and lengths scale with it; outside that range they
+    overflow or underflow.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        spread = np.ptp(pts, axis=0)
+        extent2 = float((spread**2).sum())
+    if spread.any() and not np.finfo(float).tiny <= extent2 < np.inf:
+        raise GeometryError(
+            f"terminal extent {spread.max():.3g} is out of range: its square must be a normal float"
+        )
+
+
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     pa, pb = as_point(a), as_point(b)
     if pa.shape != pb.shape:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
-from .geometry import DEFAULT_TOL, GeometryError, ToleranceConfig
+from .geometry import DEFAULT_TOL, GeometryError, ToleranceConfig, _check_extent
 from .steiner import relax_topology, solve_exact
 from .topology import Topology
 
@@ -40,11 +40,12 @@ def mst(points) -> MstResult:
     """Exact Euclidean minimum spanning tree (Prim, ties broken by index).
 
     The frontier is a heap keyed ``(dist, vertex)``, so the first minimal
-    index wins a tie; a source changes only on strict improvement.  In
-    d = 2 and 3 the candidate edges are Delaunay edges, which is exact: a
-    point inside the closed diametral ball of a shortest cut edge uv would
-    be closer than |uv| to both u and v, so it would give a shorter cut edge
-    on either side of the cut.  So uv is an edge of every Delaunay
+    index wins a tie; a source changes only on strict improvement.  Prim's
+    loop walks each new tree vertex's candidate neighbours as plain Python
+    lists.  In d = 2 and 3 the candidate edges are Delaunay edges, which is
+    exact: a point inside the closed diametral ball of a shortest cut edge
+    uv would be closer than |uv| to both u and v, so it would give a shorter
+    cut edge on either side of the cut.  So uv is an edge of every Delaunay
     triangulation, and Prim picks the same vertex and source as over all
     pairs.  Duplicates join their first copy by zero-length edges.  A 3-d
     set that Qhull rejects or only partly triangulates, but that lies in a
@@ -58,46 +59,58 @@ def mst(points) -> MstResult:
     p_j - p_i is at most that of p_k - p_i in size, and smaller in one, so
     a shortest cut edge never skips a point.  Other dimensions, and other
     sets Qhull cannot triangulate (too few distinct points), take all pairs
-    as candidates.
+    as candidates, each row cut with numpy to the points it brings closer.
+    The squared extent of the set must be a normal float, as for the
+    solvers' terminals, unless every point coincides.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise GeometryError(f"mst needs >= 2 points, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise GeometryError("mst needs finite coordinates")
+    _check_extent(pts)
     n = pts.shape[0]
-    row = _candidate_rows(pts)
-    if row is None:
-        every = np.arange(n)
+    csr = _candidate_rows(pts)
+    if csr is None:
+        closest = np.full(n, np.inf)  # mirrors best below
 
         def row(v):
-            return every, np.linalg.norm(pts - pts[v], axis=1)
+            closest[v] = -np.inf
+            dist = np.linalg.norm(pts - pts[v], axis=1)
+            w = np.flatnonzero(dist < closest)
+            closest[w] = dist[w]
+            return zip(closest[w].tolist(), w.tolist())
 
-    best = np.full(n, np.inf)
-    src = np.zeros(n, dtype=int)
+    else:
+        nbr, dist, ptr = (a.tolist() for a in csr)
+
+        def row(v):
+            return zip(dist[ptr[v] : ptr[v + 1]], nbr[ptr[v] : ptr[v + 1]])
+
+    best = [np.inf] * n
+    src = [0] * n
     heap: list[tuple[float, int]] = []
+    push, pop = heapq.heappush, heapq.heappop
     edges: list[tuple[int, int]] = []
     total = 0.0
     v = 0
     for _ in range(n - 1):
         best[v] = -np.inf  # in the tree: never improved again
-        idx, dist = row(v)
-        closer = dist < best[idx]  # strict: keep earlier source
-        w = idx[closer]
-        best[w], src[w] = dist[closer], v
-        for item in zip(dist[closer].tolist(), w.tolist()):
-            heapq.heappush(heap, item)
+        for dw, w in row(v):
+            if dw < best[w]:  # strict: keep earlier source
+                best[w], src[w] = dw, v
+                push(heap, (dw, w))
         while True:
-            dv, v = heapq.heappop(heap)
+            dv, v = pop(heap)
             if dv == best[v]:  # skip stale and in-tree entries
                 break
-        edges.append((int(src[v]), v))
+        edges.append((src[v], v))
         total += dv
     return MstResult(edges=edges, length=total)
 
 
 def _candidate_rows(pts: np.ndarray):
-    """``row(v) -> (candidate neighbours, distances)``, or None to use all pairs."""
+    """CSR candidates ``(nbr, dist, ptr)``, v's in ``[ptr[v], ptr[v + 1])``; None: all pairs."""
     n, d = pts.shape
     if d not in (2, 3):
         return None
@@ -122,8 +135,7 @@ def _candidate_rows(pts: np.ndarray):
     w = np.concatenate([first[w], dup])
     src, nbr = np.divmod(np.unique(np.concatenate([u * n + w, w * n + u])), n)
     dist = np.linalg.norm(pts[nbr] - pts[src], axis=1)
-    ptr = np.searchsorted(src, np.arange(n + 1))
-    return lambda v: (nbr[ptr[v] : ptr[v + 1]], dist[ptr[v] : ptr[v + 1]])
+    return nbr, dist, np.searchsorted(src, np.arange(n + 1))
 
 
 def _delaunay_pairs(pts: np.ndarray):

@@ -66,6 +66,7 @@ from .geometry import (
     GeometryError,
     ToleranceConfig,
     _angles,
+    _check_extent,
     _dot,
     _norm,
     fermat_point_triples,
@@ -111,15 +112,7 @@ def _as_terminal_array(points) -> np.ndarray:
         raise GeometryError(f"terminals must have shape (n >= 2, d >= 2), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise GeometryError("terminals contain non-finite coordinates")
-    # Relative tolerances and edge weights scale with the extent, so its
-    # square must be a normal float unless every terminal coincides.
-    with np.errstate(over="ignore", under="ignore"):
-        spread = np.ptp(pts, axis=0)
-        extent2 = float((spread**2).sum())
-    if spread.any() and not np.finfo(float).tiny <= extent2 < np.inf:
-        raise GeometryError(
-            f"terminal extent {spread.max():.3g} is out of range: its square must be a normal float"
-        )
+    _check_extent(pts)
     return pts
 
 
@@ -646,7 +639,7 @@ def _relax_batch(
         flagged = np.flatnonzero(open_ & (lengths <= lengths.min() * (1.0 + _FINISH_NEAR)))
         if len(flagged):
             newton_steps += _newton_finish(X, edg, n, flagged, scale, degen)
-            lengths = _total_lengths(X, edg)
+            lengths[flagged] = _total_lengths(X[flagged], edg[flagged])
             lb[flagged] = _lower_bounds(X[flagged], edg[flagged], n, degen)
     else:
         while (due := np.flatnonzero(open_ & (lb <= lengths.min() * (1.0 + tol.eps_tie)))).size:

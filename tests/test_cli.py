@@ -211,6 +211,15 @@ class TestSteinerCommands:
         assert cli_dispatch(["steiner", "ratio", "--in", inst]) == EXIT_INVALID
         assert "coincide" in _err_line(capsys)
 
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_ratio_extent_out_of_float_range_exits_invalid(self, tmp_path, capsys, size):
+        # Every distance overflows (the spanning tree found no edge) or
+        # underflows (the set looked coincident) unless the extent is checked.
+        terms = (np.random.default_rng(0).random((5, 2)) * size).tolist()
+        inst = _write(tmp_path, "far.json", {"dim": 2, "problem": "steiner", "terminals": terms})
+        assert cli_dispatch(["steiner", "ratio", "--in", inst]) == EXIT_INVALID
+        assert "extent" in _err_line(capsys)
+
     def test_solve_rejects_mdm_instance(self, tmp_path, capsys):
         inst = _write(tmp_path, "pts.json", MDM_POINTS)
         assert cli_dispatch(["steiner", "solve", "--in", inst]) == EXIT_INVALID

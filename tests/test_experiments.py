@@ -267,7 +267,11 @@ def _sequential_heuristic(points):
 def _scan_cases():
     cases = {f"uniform{dim}d_{n}": random_instance(n, 100 * dim + n, dim=dim)
              for dim in (2, 3, 4) for n in (3, 5, 9, 40, 150)}
+    # Draws the size of the benchmark's large instances.
+    for dim in (2, 3):
+        cases[f"uniform{dim}d_1024"] = random_instance(1024, 100 * dim + 1024, dim=dim)
     cases["hex250"] = hex_lattice_instance(250)
+    cases["hex1024"] = hex_lattice_instance(1024)
     g = np.arange(9.0)
     cases["grid9"] = np.array([(x, y) for x in g for y in g])  # many exact ties
     p = random_instance(50, 3)

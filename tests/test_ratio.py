@@ -132,6 +132,8 @@ def _oracle_inputs():
         flat = plane.random((n, 2))
         cases[f"z_const_{n}"] = np.column_stack([flat, np.full(n, 0.7)])
         cases[f"tilted_uniform_{n}"] = np.column_stack([flat, np.zeros(n)]) @ rot.T + [1.0, -2.0, 0.5]
+    # Four dimensions take all pairs as candidates.
+    cases["uniform4d_300"] = np.random.default_rng(4).random((300, 4))
     hexes = hex_lattice_instance(500)
     cases["tilted_hex"] = np.column_stack([hexes, np.zeros(len(hexes))]) @ rot.T
     return cases
@@ -152,6 +154,12 @@ class TestMstMatchesDensePrim:
     def test_rejects_non_finite(self):
         with pytest.raises(GeometryError):
             mst([[0.0, 0.0], [np.nan, 1.0]])
+
+    @pytest.mark.parametrize("size", [1e200, 1e-200])
+    def test_rejects_extent_out_of_float_range(self, size):
+        # Distances would all overflow to inf or underflow to 0.
+        with pytest.raises(GeometryError, match="extent"):
+            mst(np.random.default_rng(0).random((5, 2)) * size)
 
     def test_large_collinear_set_takes_consecutive_candidates(self):
         # Qhull rejects the set; consecutive points along the line are the
@@ -175,9 +183,11 @@ class TestMstMatchesDensePrim:
         pts = ORACLE_INPUTS[name]
         rows = _candidate_rows(pts)
         assert rows is not None
+        nbr, dist, ptr = rows
+        assert len(nbr) == len(dist) == ptr[-1] and len(ptr) == len(pts) + 1
         # A triangulation has fewer than 3n edges, so each point keeps a
         # handful of candidates instead of all n - 1.
-        assert sum(len(rows(v)[0]) for v in range(len(pts))) < 6 * len(pts)
+        assert len(nbr) < 6 * len(pts)
 
 
 class TestSteinerRatio:
