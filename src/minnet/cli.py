@@ -160,7 +160,7 @@ def _cmd_steiner_solve(args) -> int:
         inst.dim,
         tree.length,
         tree.coords(),
-        list(tree.topology.edges),
+        tree.topology.edge_array,
         n_terminals=int(inst.terminals.shape[0]),
         report={
             "is_tree": rep.is_tree,
@@ -229,11 +229,11 @@ def _initial_network(desc, r: float, seed: int | None) -> MdmNetwork:
         dist = np.linalg.norm(rel, axis=1)
         pull = np.minimum(r, dist) / np.where(dist == 0.0, 1.0, dist)
         chain = ring - pull[:, None] * rel
-        net = MdmNetwork(chain, [(i, i + 1) for i in range(len(chain) - 1)])
+        net = MdmNetwork(chain, np.column_stack([np.arange(len(chain) - 1), np.arange(1, len(chain))]))
     if seed is not None:
         rng = np.random.default_rng(seed)
         v = net.vertices + rng.normal(scale=5e-3 * diam, size=net.vertices.shape)
-        net = MdmNetwork(v, net.edges)
+        net = MdmNetwork(v, net.edge_array)
     return net
 
 
@@ -265,7 +265,7 @@ def _mdm_result(
         inst.dim,
         float(net.length),
         net.vertices,
-        list(net.edges),
+        net.edge_array,
         r=r,
         report=report,
         solver=solver,

@@ -272,7 +272,7 @@ class ResultFile:
     dim: int
     length: float
     vertices: np.ndarray
-    edges: list[tuple[int, int]]
+    edges: list[tuple[int, int]]  # parsed: int tuples; built: any (E, 2) int pairs
     n_terminals: int | None = None  # trees: vertices[:n_terminals] are inputs
     r: float | None = None  # coverage results: the ball radius
     report: dict = field(default_factory=dict)

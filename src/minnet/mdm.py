@@ -24,6 +24,8 @@ from itertools import combinations
 from math import ceil
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import depth_first_order
 from scipy.spatial import cKDTree
 
 from .geometry import (
@@ -162,30 +164,42 @@ class CompactSetDescriptor:
 
 @dataclass
 class MdmNetwork:
-    """Straight-segment network: vertex coordinates plus index-pair edges."""
+    """Straight-segment network: vertex coordinates plus index-pair edges.
+
+    ``edges`` may be any (E, 2) integral pairs.  They are validated once into
+    the read-only (E, 2) int64 ``edge_array`` that the solvers and reports
+    read; ``edges`` then holds the same pairs as Python int tuples."""
 
     vertices: np.ndarray
     edges: list[tuple[int, int]]
     length: float | None = None
+    edge_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.edges = [(int(u), int(v)) for u, v in self.edges]
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        bad = np.flatnonzero(((e < 0) | (e >= len(self.vertices))).any(axis=1))
-        if bad.size:
-            u, v = self.edges[bad[0]]
-            raise MdmError(f"edge ({u}, {v}) out of range for {len(self.vertices)} vertices")
+        raw = np.asarray(self.edges)
+        if raw.size and (raw.ndim != 2 or raw.shape[1] != 2):
+            raise MdmError(f"edges must be index pairs, got shape {raw.shape}")
+        raw = raw.reshape(-1, 2)  # an empty list comes in as float
+        e = raw.astype(np.int64)
+        n = len(self.vertices)
+        for bad, why in (
+            ((e != raw).any(axis=1), "has a non-integral index"),  # the cast truncates
+            (((e < 0) | (e >= n)).any(axis=1), f"out of range for {n} vertices"),
+        ):
+            if bad.any():
+                u, v = raw[np.argmax(bad)].tolist()
+                raise MdmError(f"edge ({u}, {v}) {why}")
+        e.setflags(write=False)
+        self.edge_array = e
+        self.edges = list(map(tuple, e.tolist()))
         if self.length is None:
             # A running total in edge order, rounded as a Python sum would.
             lens = _norm(self.vertices[e[:, 0]] - self.vertices[e[:, 1]]) if len(e) else [0.0]
             self.length = float(np.cumsum(lens)[-1])
 
     def segment_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.edges:
-            return self.vertices[:0], self.vertices[:0]
-        e = np.asarray(self.edges)
-        return self.vertices[e[:, 0]], self.vertices[e[:, 1]]
+        return self.vertices[self.edge_array[:, 0]], self.vertices[self.edge_array[:, 1]]
 
 
 @dataclass
@@ -349,10 +363,6 @@ def _gapped_parallel(rho: float, L: float, w: float):
     return arcs, segs, A, d
 
 
-def _mirror(p: np.ndarray) -> np.ndarray:
-    return np.array([p[0], -p[1]])
-
-
 def _tangent_length(R: float, r: float, L: float, w: float) -> float | None:
     """Shortest tangent segments that close a gap of half-width w; None if
     no length does.
@@ -410,8 +420,8 @@ def _chain_network(runs: list[np.ndarray]) -> MdmNetwork:
         last = int(np.flatnonzero(keep[:i])[-1])
         keep[i] = _norm(P[i] - P[last]) > tol[i]
         i += 1
-    vertices = P[keep]
-    return MdmNetwork(vertices, [(i, i + 1) for i in range(len(vertices) - 1)])
+    n = int(keep.sum())
+    return MdmNetwork(P[keep], np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def _emit_horseshoe(rho: float, L: float, w: float, ell: float) -> MdmNetwork:
@@ -432,7 +442,7 @@ def _emit_horseshoe(rho: float, L: float, w: float, ell: float) -> MdmNetwork:
         runs.append(_arc_points(*arcs[0]))
         runs.append(np.array([segs[1][1]]))
     if ell > 0.0:
-        runs.append(np.array([_mirror(A + ell * d)]))
+        runs.append(np.array([A + ell * d]) * [1.0, -1.0])  # the lower tangent's end
     return _chain_network(runs)
 
 
@@ -710,7 +720,7 @@ def solve_mdm_finite(
     nb, edg = _full_topology_arrays(k)
     X, lengths, *_ = _relax_batch(centers, nb, edg, tol, radii=radii)
     best = int(np.argmin(lengths))
-    return MdmNetwork(X[best].copy(), edg[best].tolist())
+    return MdmNetwork(X[best].copy(), edg[best])
 
 
 # ---------------------------------------------------------------------------
@@ -837,20 +847,13 @@ def _lbfgs(fun, grad, x, max_iters):
     return x, table, values
 
 
-def _adjacency(n_vertices: int, edges) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {i: [] for i in range(n_vertices)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
 def _topology_surgery(V, E, samples, r, tol, scale, table):
     """Between-epoch moves: split edges near violated samples, merge nearly
     coincident vertices, break sharp degree-2 corners with a Fermat vertex.
-    ``table`` is the nearest-edge table of (V, E)."""
+    ``E`` is the (E, 2) edge array and ``table`` the nearest-edge table of
+    (V, E); returns the new vertices and edge array."""
     V = V.copy()
-    E = list(E)
+    E = E.copy()
     dmin, nearest = table[0], table[1]
     split_done: set[int] = set()
     order = np.argsort(-dmin)
@@ -860,7 +863,7 @@ def _topology_surgery(V, E, samples, r, tol, scale, table):
         ei = int(nearest[s])
         if ei in split_done:
             continue
-        u, v = E[ei]
+        u, v = E[ei].tolist()
         seg = V[v] - V[u]
         den = float(seg @ seg)
         if den == 0.0:
@@ -870,8 +873,8 @@ def _topology_surgery(V, E, samples, r, tol, scale, table):
             continue
         w = V[u] + t * seg
         V = np.vstack([V, w])
-        E[ei] = (u, len(V) - 1)
-        E.append((len(V) - 1, v))
+        E[ei, 1] = len(V) - 1
+        E = np.vstack([E, (len(V) - 1, v)])
         split_done.add(ei)
 
     # Merge vertices that collapsed onto each other, then drop parallel edges.
@@ -879,16 +882,18 @@ def _topology_surgery(V, E, samples, r, tol, scale, table):
     V, pairs = _contract(V, E, thresh)
     E = list(dict.fromkeys((min(u, v), max(u, v)) for u, v in pairs.tolist()))
 
-    # Fermat-split sharp corners at degree-2 vertices.
-    adj = _adjacency(len(V), E)
+    # Fermat-split sharp corners at degree-2 vertices.  Each vertex lists its
+    # neighbours in edge order; a split drops the corner's two edges and
+    # appends three to the new vertex, so each list keeps that order.
+    nbrs = [[] for _ in range(len(V))]
+    for u, v in E:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     for vtx in range(len(V)):
-        if len(adj[vtx]) != 2:
+        if len(nbrs[vtx]) != 2:
             continue
-        n1, n2 = adj[vtx]
-        if (
-            np.linalg.norm(V[n1] - V[vtx]) <= thresh
-            or np.linalg.norm(V[n2] - V[vtx]) <= thresh
-        ):
+        n1, n2 = nbrs[vtx]
+        if np.linalg.norm(V[n1] - V[vtx]) <= thresh or np.linalg.norm(V[n2] - V[vtx]) <= thresh:
             continue
         ang = angle_at(V[vtx], V[n1], V[n2])
         if ang >= 2.0 * np.pi / 3.0 - tol.eps_angle:
@@ -900,8 +905,11 @@ def _topology_surgery(V, E, samples, r, tol, scale, table):
         s = len(V) - 1
         E = [e for e in E if e not in ((vtx, n1), (n1, vtx), (vtx, n2), (n2, vtx))]
         E.extend([(n1, s), (n2, s), (vtx, s)])
-        adj = _adjacency(len(V), E)
-    return V, E
+        for w in (n1, n2):
+            nbrs[w] = [x for x in nbrs[w] if x != vtx] + [s]
+        nbrs[vtx] = [s]
+        nbrs.append([n1, n2, vtx])
+    return V, np.array(E, dtype=np.int64).reshape(-1, 2)
 
 
 def solve_mdm_numeric(
@@ -931,27 +939,24 @@ def solve_mdm_numeric(
     scale = max(instance_scale(samples), r)
     mu = _MU0 / diam
     V = init.vertices.copy()
-    E = list(init.edges)
+    E = init.edge_array
     trace: list[float] = []
     marks: list[int] = []
     # A network with no edges gives the penalty nothing to move.
-    for _ in range(cfg.max_epochs if E else 0):
-        ends = np.asarray(E, dtype=np.int64).reshape(-1, 2)
+    for _ in range(cfg.max_epochs if len(E) else 0):
         V, table, values = _lbfgs(
-            lambda X: _penalty_objective(X, ends, samples, r, mu),
-            lambda X, tab: _penalty_gradient(X, ends, tab, r, mu),
+            lambda X: _penalty_objective(X, E, samples, r, mu),
+            lambda X, tab: _penalty_gradient(X, E, tab, r, mu),
             V,
             _ITERS_PER_EPOCH,
         )
         trace.extend(values)
         marks.append(len(trace))
-        net = MdmNetwork(V.copy(), list(E))
-        rep = coverage_check(net, samples, r, tol)
-        if rep.covered:
+        if coverage_check(MdmNetwork(V, E), samples, r, tol).covered:
             break
         V, E = _topology_surgery(V, E, samples, r, tol, scale, table)
         mu *= _MU_GROWTH
-    net = MdmNetwork(V.copy(), list(E))
+    net = MdmNetwork(V.copy(), E)
     rep = coverage_check(net, samples, r, tol)
     return NumericResult(
         network=net,
@@ -990,7 +995,7 @@ def _closest_on_network(net: MdmNetwork, samples: np.ndarray):
     best_p = np.zeros((S, V.shape[1]))
     if S == 0 or n == 0:
         return best_d, best_p
-    ends = np.asarray(net.edges, dtype=np.int64).reshape(-1, 2)
+    ends = net.edge_array
     a, b = V[ends[:, 0]], V[ends[:, 1]]
     lens = np.linalg.norm(b - a, axis=1)
     cut = 4.0 * float(np.median(lens)) if len(lens) else 0.0
@@ -1114,7 +1119,7 @@ def verify_mdm(
     scale = max(instance_scale(V), 1e-300)
     thresh = tol.eps_len * scale
 
-    e = np.asarray(net.edges, dtype=np.int64).reshape(-1, 2)
+    e = net.edge_array
     # A graph is a forest iff |E| = |V| - #components (parallel edges and
     # loops, zero-length ones included, count as cycles).
     n_components = len(np.unique(_labels(len(V), e)))
@@ -1141,32 +1146,24 @@ def verify_mdm(
 
 
 def resample_path_network(net: MdmNetwork, n_vertices: int) -> MdmNetwork:
-    """Uniform arc-length resampling of an open-chain network.
+    """Uniform arc-length resampling of an open-chain network, every
+    coordinate, walked from its lower-numbered end.
 
     Used to coarsen fine horseshoe polylines into workable inits for the
     numeric solver; endpoints are preserved exactly.
     """
     if n_vertices < 2:
         raise MdmError(f"need at least 2 vertices, got {n_vertices}")
-    adj = _adjacency(len(net.vertices), net.edges)
-    ends = [v for v, nb in adj.items() if len(nb) == 1]
-    if len(ends) != 2 or any(len(nb) > 2 for nb in adj.values()):
-        raise MdmError("resample_path_network needs an open chain")
-    order = [min(ends)]
-    prev = -1
-    while True:
-        nxt = [x for x in adj[order[-1]] if x != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
+    e, n = net.edge_array, len(net.vertices)
+    degree = np.bincount(e.ravel(), minlength=n)
+    ends = np.flatnonzero(degree == 1)
+    graph = coo_matrix((np.ones(len(e)), (e[:, 0], e[:, 1])), shape=(n, n))
+    order = depth_first_order(graph, ends[0], directed=False, return_predecessors=False) if len(ends) else []
+    if len(ends) != 2 or degree.max() > 2 or len(order) != n:
+        raise MdmError("resample_path_network needs an open chain through every vertex")
     pts = net.vertices[order]
-    if len(order) != len(net.vertices):
-        raise MdmError("chain does not visit every vertex")
     seg = np.diff(pts, axis=0)
     cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(seg, axis=1))])
     s = cum[-1] * np.arange(n_vertices) / (n_vertices - 1)
-    x = np.interp(s, cum, pts[:, 0])
-    y = np.interp(s, cum, pts[:, 1])
-    new = np.stack([x, y], axis=1)
-    return MdmNetwork(new, [(i, i + 1) for i in range(n_vertices - 1)])
+    new = np.column_stack([np.interp(s, cum, col) for col in pts.T])
+    return MdmNetwork(new, np.column_stack([np.arange(n_vertices - 1), np.arange(1, n_vertices)]))

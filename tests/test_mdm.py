@@ -129,6 +129,36 @@ class TestSampleCompact:
             sample_compact(CompactSetDescriptor.circle(1.0), 0)
 
 
+class TestMdmNetwork:
+    def test_edge_array_is_validated_once(self):
+        net = MdmNetwork(np.zeros((4, 2)), [(0, 1), (1, 2), (3, 1)])
+        e = net.edge_array
+        assert e.dtype == np.int64 and e.shape == (3, 2)
+        assert list(map(tuple, e.tolist())) == net.edges
+        assert net.edge_array is e
+        assert not e.flags.writeable  # shared by every consumer
+        built = MdmNetwork(np.zeros((4, 2)), np.array([[0, 1], [1, 2]], dtype=np.int32))
+        assert built.edges == [(0, 1), (1, 2)]
+        assert all(type(pair) is tuple and all(type(u) is int for u in pair) for pair in built.edges)
+
+    def test_empty_edge_list_is_valid(self):
+        net = MdmNetwork(np.zeros((1, 2)), [])
+        assert net.edge_array.shape == (0, 2) and net.edge_array.dtype == np.int64
+        assert net.edges == [] and net.length == 0.0
+
+    @pytest.mark.parametrize("edges", [[(0, 1.7)], [(0, 1), (2.5, 1)], np.array([[0.0, 1.5]])])
+    def test_rejects_non_integral_indices(self, edges):
+        with pytest.raises(MdmError, match=r"^edge \(.+\) has a non-integral index$"):
+            MdmNetwork(np.zeros((3, 2)), edges)
+
+    def test_integral_floats_and_range(self):
+        assert MdmNetwork(np.zeros((3, 2)), [(0.0, 2.0)]).edges == [(0, 2)]
+        with pytest.raises(MdmError, match=r"^edge \(0, 3\) out of range for 3 vertices$"):
+            MdmNetwork(np.zeros((3, 2)), [(0, 1), (0, 3)])
+        with pytest.raises(MdmError, match=r"^edges must be index pairs, got shape \(1, 3\)$"):
+            MdmNetwork(np.zeros((3, 2)), [(0, 1, 2)])
+
+
 class TestCoverageCheck:
     def test_origin_covers_circle_at_full_radius(self):
         net = MdmNetwork(np.zeros((1, 2)), [])
@@ -874,14 +904,30 @@ class TestVerifyMdm:
 
 class TestResamplePath:
     def test_preserves_endpoints_and_length(self):
-        net = MdmNetwork(
+        corner = MdmNetwork(
             np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]), [(0, 1), (1, 2)]
         )
-        out = resample_path_network(net, 9)
-        assert len(out.vertices) == 9
-        assert np.allclose(out.vertices[0], [0.0, 0.0])
-        assert np.allclose(out.vertices[-1], [1.0, 1.0])
-        assert out.length == pytest.approx(net.length, rel=1e-9)
+        # The R = 6 horseshoe with its edges shuffled and about half of them
+        # flipped: the walk still starts at vertex 0 and visits the arc in order.
+        hs, _ = horseshoe_circle(6.0, 1.0)
+        rng = np.random.default_rng(11)
+        e = hs.edge_array[rng.permutation(len(hs.edges))]
+        shuffled = MdmNetwork(hs.vertices, np.where(rng.random((len(e), 1)) < 0.5, e[:, ::-1], e))
+        for net, k in ((corner, 9), (shuffled, 40)):
+            out = resample_path_network(net, k)
+            assert len(out.vertices) == k
+            assert np.allclose(out.vertices[0], net.vertices[0])
+            assert np.allclose(out.vertices[-1], net.vertices[-1])
+            assert out.edges == [(i, i + 1) for i in range(k - 1)]
+        assert corner.length == pytest.approx(resample_path_network(corner, 9).length, rel=1e-9)
+        assert np.array_equal(resample_path_network(shuffled, 40).vertices, resample_path_network(hs, 40).vertices)
+
+    def test_resamples_every_coordinate(self):
+        net = MdmNetwork(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, 2.0, 2.0]]), [(0, 1), (1, 2)])
+        out = resample_path_network(net, 5)
+        assert out.vertices.shape == (5, 3)
+        expected = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 1.0, 2.0], [0.0, 2.0, 2.0]]
+        assert np.allclose(out.vertices, expected, rtol=0.0, atol=1e-15)
 
     def test_rejects_branching_networks(self):
         tripod = solve_mdm_finite(TRIANGLE, 0.1, TOL)

@@ -311,6 +311,12 @@ class TestSolveExactInvariants:
     )
     def test_never_beats_collinear_floor(self, points):
         pts = np.asarray(points, dtype=float)
+        # Hypothesis draws spreads like 1e-294, whose square underflows; the
+        # solver rejects those by design (its extent rule), so check that.
+        if not (np.ptp(pts, axis=0) ** 2).sum() >= np.finfo(float).tiny:
+            with pytest.raises(GeometryError, match="extent"):
+                solve_exact(pts)
+            return
         res = solve_exact(pts)
         assert res.tree.length <= mst_length(pts) + 1e-9
         assert res.tree.length >= max(pdist(pts)) - 1e-9
