@@ -46,7 +46,6 @@ from .io import (
     serialize_result,
 )
 from .mdm import (
-    GAP_EVALUATIONS,
     _closest_on_network,
     _coverage_report,
     _default_density,
@@ -328,7 +327,7 @@ def _cmd_mdm_horseshoe(args) -> int:
     R, r, L = _require_round_boundary(inst)
     t0 = time.perf_counter()
     net, _ = horseshoe_stadium(R, r, L)
-    return _finish_mdm(args, inst, net, tol, {"name": "horseshoe", "iterations": GAP_EVALUATIONS}, t0)
+    return _finish_mdm(args, inst, net, tol, {"name": "horseshoe"}, t0)
 
 
 def _cmd_mdm_competitor(args) -> int:

@@ -2,10 +2,10 @@
 a given compact set M.
 
 Three solver flavors live here.  ``horseshoe_circle``/``horseshoe_stadium``
-build the one-parameter parallel-curve-with-gap family analytically and
-minimize over the gap.  ``solve_mdm_finite`` handles finite M: a Steiner
-tree whose terminals are the r-balls around the given points, relaxed over
-every full topology by the exact Steiner solver's pipeline
+build the shortest member of the one-parameter parallel-curve-with-gap
+family, whose gap has a closed form.  ``solve_mdm_finite`` handles finite
+M: a Steiner tree whose terminals are the r-balls around the given points,
+relaxed over every full topology by the exact Steiner solver's pipeline
 (``steiner._relax_batch``) with each leaf free in its ball.
 ``solve_mdm_numeric`` is a penalty method over a sampled M with topology
 surgery between epochs; it is the hammer for sets with no usable structure.
@@ -52,7 +52,6 @@ __all__ = [
     "coverage_check",
     "horseshoe_circle",
     "horseshoe_stadium",
-    "GAP_EVALUATIONS",
     "stadium_competitor",
     "solve_mdm_finite",
     "solve_mdm_numeric",
@@ -65,13 +64,6 @@ __all__ = [
 # radius * step^2 / 8 ~ 8e-8 * radius, comfortably below coverage tolerances,
 # and the relative length deficit step^2/24 is ~3e-8.
 _ARC_STEP = 8e-4
-
-# The horseshoe gap search: a coarse grid, then golden-section steps.  It
-# evaluates GAP_EVALUATIONS widths: the grid, two starting golden points,
-# one per step and the final pick.
-_GAP_GRID = 33
-_GOLDEN_STEPS = 70
-GAP_EVALUATIONS = _GAP_GRID + 2 + _GOLDEN_STEPS + 1
 
 # Half-width of the energetic detection band as a fraction of r; |xy| = r is
 # measure-zero so a band is required numerically.
@@ -324,73 +316,28 @@ def _coverage_report(net: MdmNetwork, samples, d, r: float, tol: ToleranceConfig
 
 def _gapped_parallel(rho: float, L: float, w: float):
     """Pieces of the parallel curve with a gap of arc-length half-width w
-    centered on the right cap apex.  Returns (arcs, segs, A, d): A is the
-    upper gap endpoint and d the unit tangent pointing into the gap; the
-    lower endpoint is the mirror image.
+    centered on the right cap apex, the gap inside that cap (w <= pi rho / 2
+    on a stadium).  Returns (arcs, segs, A, d): A is the upper gap endpoint
+    and d the unit tangent pointing into the gap; the lower endpoint is the
+    mirror image.
     """
-    if L == 0.0:
-        phi = w / rho
-        arcs = [(np.zeros(2), rho, phi, 2.0 * np.pi - phi)]
-        segs = []
-        A = rho * np.array([np.cos(phi), np.sin(phi)])
-        d = np.array([np.sin(phi), -np.cos(phi)])
-        return arcs, segs, A, d
+    phi = w / rho
     cR = np.array([L / 2.0, 0.0])
+    A = cR + rho * np.array([np.cos(phi), np.sin(phi)])
+    d = np.array([np.sin(phi), -np.cos(phi)])
+    if L == 0.0:
+        return [(cR, rho, phi, 2.0 * np.pi - phi)], [], A, d
     cL = np.array([-L / 2.0, 0.0])
-    cap = rho * np.pi / 2.0
-    if w <= cap:
-        phi = w / rho
-        arcs = [
-            (cR, rho, phi, np.pi / 2.0),
-            (cL, rho, np.pi / 2.0, 3.0 * np.pi / 2.0),
-            (cR, rho, 3.0 * np.pi / 2.0, 2.0 * np.pi - phi),
-        ]
-        segs = [
-            (np.array([L / 2.0, rho]), np.array([-L / 2.0, rho])),
-            (np.array([-L / 2.0, -rho]), np.array([L / 2.0, -rho])),
-        ]
-        A = cR + rho * np.array([np.cos(phi), np.sin(phi)])
-        d = np.array([np.sin(phi), -np.cos(phi)])
-        return arcs, segs, A, d
-    t = w - cap
-    arcs = [(cL, rho, np.pi / 2.0, 3.0 * np.pi / 2.0)]
-    segs = [
-        (np.array([L / 2.0 - t, rho]), np.array([-L / 2.0, rho])),
-        (np.array([-L / 2.0, -rho]), np.array([L / 2.0 - t, -rho])),
+    arcs = [
+        (cR, rho, phi, np.pi / 2.0),
+        (cL, rho, np.pi / 2.0, 3.0 * np.pi / 2.0),
+        (cR, rho, 3.0 * np.pi / 2.0, 2.0 * np.pi - phi),
     ]
-    A = np.array([L / 2.0 - t, rho])
-    d = np.array([1.0, 0.0])
+    segs = [
+        (np.array([L / 2.0, rho]), np.array([-L / 2.0, rho])),
+        (np.array([-L / 2.0, -rho]), np.array([L / 2.0, -rho])),
+    ]
     return arcs, segs, A, d
-
-
-def _tangent_length(R: float, r: float, L: float, w: float) -> float | None:
-    """Shortest tangent segments that close a gap of half-width w; None if
-    no length does.
-
-    The gapped parallel curve at distance rho = R - r leaves one boundary
-    interval uncovered, symmetric about the apex (L/2 + R, 0).  The tangent
-    from the upper gap endpoint A along d reaches a point P once its length
-    is at least f(P) = t_P - sqrt(reach^2 - h_P^2), where t_P = (P - A).d
-    and h_P is the signed offset of P from the tangent line; no length
-    reaches P when |h_P| > reach.  For P on the cap at angle u past A,
-    seen from the cap centre, f = R sin u - sqrt(reach^2 - (R cos u - rho)^2)
-    and df/du > 0 exactly when (R - reach) cos u < rho, which holds for
-    every u because reach > r.  So the bound grows away from A, the lower
-    tangent mirrors it, and the apex (u = w / rho) needs the most.  Once the
-    gap has eaten the whole stadium cap (w > pi rho / 2) the tangent runs
-    along the top side and the bound grows by the extra half-width.  The
-    reach keeps the relative slack of 1e-9 that boundary points on the
-    covered stretch need.
-    """
-    rho = R - r
-    reach = r * (1.0 + 1e-9)
-    cap = np.pi * rho / 2.0 if L > 0.0 else np.inf
-    u = min(w, cap) / rho
-    h = R * np.cos(u) - rho
-    if h < -reach:
-        return None
-    ell = max(w - cap, 0.0) + R * np.sin(u) - np.sqrt(reach * reach - h * h)
-    return max(float(ell), 0.0)
 
 
 def _arc_points(c, rho, a0, a1) -> np.ndarray:
@@ -424,65 +371,45 @@ def _chain_network(runs: list[np.ndarray]) -> MdmNetwork:
     return MdmNetwork(P[keep], np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
-def _emit_horseshoe(rho: float, L: float, w: float, ell: float) -> MdmNetwork:
-    arcs, segs, A, d = _gapped_parallel(rho, L, w)
-    runs: list[np.ndarray] = []
-    if ell > 0.0:
-        runs.append(np.array([A + ell * d]))
-    if L == 0.0:
-        runs.append(_arc_points(*arcs[0]))
-    elif len(arcs) == 3:
-        runs.append(_arc_points(*arcs[0]))
-        runs.append(np.array([segs[0][1]]))
-        runs.append(_arc_points(*arcs[1]))
-        runs.append(np.array([segs[1][1]]))
-        runs.append(_arc_points(*arcs[2]))
-    else:
-        runs.append(np.array([segs[0][0], segs[0][1]]))
-        runs.append(_arc_points(*arcs[0]))
-        runs.append(np.array([segs[1][1]]))
-    if ell > 0.0:
-        runs.append(np.array([A + ell * d]) * [1.0, -1.0])  # the lower tangent's end
-    return _chain_network(runs)
-
-
 def _horseshoe_family(R: float, r: float, L: float) -> tuple[MdmNetwork, float]:
+    """Shortest member of the gapped-parallel-curve family, in closed form.
+
+    A gap of half-width w in the parallel curve at distance rho = R - r
+    leaves one boundary interval uncovered, symmetric about the apex
+    (L/2 + R, 0), and two tangent segments close it.  The tangent from the
+    upper gap endpoint A along d reaches a point P once its length is at
+    least t_P - sqrt(reach^2 - h_P^2), where t_P = (P - A).d and h_P is the
+    signed offset of P from the tangent line.  For P on the cap at angle u
+    past A, seen from the cap centre, that is
+    R sin u - sqrt(reach^2 - (R cos u - rho)^2), which grows with u because
+    reach > r; so the apex, at u = w / rho, needs the most, and the lower
+    tangent mirrors the upper one.  With h = R cos u - rho the family's
+    length P - 2w + 2 (R sin u - sqrt(reach^2 - h^2)) has derivative
+    (2h / rho) (1 - R sin u / sqrt(reach^2 - h^2)) in w, and the tangents
+    are positive exactly where R sin u > sqrt(reach^2 - h^2).  So the length
+    falls while h > 0 and rises after: the shortest member has h = 0, that
+    is u* = arccos(rho / R) and w* = rho u*.  Each tangent points at the
+    apex and stops reach short of it, with length R sin u* - reach.  As
+    u* < pi / 2 the gap stays inside a stadium's cap; a wider gap only
+    trades straight side for tangent.  The reach keeps the relative slack
+    of 1e-9 that boundary points on the covered stretch need.  Only for
+    R < r (1 + 1e-9) do the tangents vanish at u*; the member returned then
+    exceeds the family's minimum by less than 1e-8 r.
+    """
     if r <= 0 or R <= r:
         raise MdmError(f"horseshoe needs R > r > 0, got R={R}, r={r}")
     rho = R - r
-    perimeter = 2.0 * np.pi * rho + 2.0 * L
-    w_max = np.pi * rho if L == 0.0 else np.pi * rho / 2.0 + L
-
-    def total(w: float) -> tuple[float, float]:
-        ell = _tangent_length(R, r, L, w)
-        if ell is None:
-            return np.inf, np.nan
-        return perimeter - 2.0 * w + 2.0 * ell, ell
-
-    # Coarse grid guards against flat/infeasible tails, golden refines.
-    grid = np.linspace(0.0, w_max, _GAP_GRID)
-    vals = [total(w)[0] for w in grid]
-    k = int(np.argmin(vals))
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(len(grid) - 1, k + 1)]
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = total(x1)[0], total(x2)[0]
-    for _ in range(_GOLDEN_STEPS):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = total(x1)[0]
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = total(x2)[0]
-    w_best = x1 if f1 <= f2 else x2
-    length, ell = total(w_best)
-    if not np.isfinite(length):
-        raise MdmError("horseshoe gap search found no feasible member")
-    net = _emit_horseshoe(rho, L, w_best, ell)
+    reach = r * (1.0 + 1e-9)
+    u = float(np.arccos(rho / R))
+    ell = max(R * np.sin(u) - reach, 0.0)
+    arcs, segs, A, d = _gapped_parallel(rho, L, rho * u)
+    runs = [_arc_points(*arcs[0])]
+    for (_, end), arc in zip(segs, arcs[1:]):
+        runs += [end[None], _arc_points(*arc)]
+    if ell > 0.0:
+        tip = A + ell * d
+        runs = [tip[None], *runs, (tip * [1.0, -1.0])[None]]  # the lower tangent's end mirrors it
+    net = _chain_network(runs)
     return net, net.length
 
 

@@ -54,8 +54,11 @@ class Topology:
             if key in seen:
                 raise TopologyError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+            try:
+                adj[u].append(v)
+                adj[v].append(u)
+            except KeyError:  # in range, but no node has this index
+                raise TopologyError(f"edge ({u}, {v}) has a non-integral index") from None
         if len(self.edges) != total - 1:
             raise TopologyError("a tree on k nodes needs exactly k - 1 edges")
         # Connectivity: walk from node 0.
@@ -165,26 +168,28 @@ def enumerate_full_topologies(n: int, n_max: int = 9) -> list[Topology]:
     return _topologies(_full_topology_arrays(n, n_max)[1], n)
 
 
-def _encode(topo: Topology, node: int, parent: int) -> str:
-    if node < topo.n_terminals:
-        return f"t{node}"
-    children = sorted(
-        _encode(topo, w, node) for w in topo.neighbors(node) if w != parent
-    )
-    return "(" + ",".join(children) + ")"
-
-
 def canonical_key(topo: Topology) -> str:
     """Canonical string identifying a topology up to branch-node relabeling.
 
     Terminal labels are fixed; branch nodes are anonymous.  The tree is rooted
-    at terminal 0 and encoded with sorted child subtree encodings, so any two
-    topologies that differ only by a permutation of branch indices map to the
-    same key and structurally distinct ones map to different keys.
+    at terminal 0.  A branch node is encoded as its sorted child encodings in
+    parentheses, a terminal as ``t{v}``, followed by the same parentheses
+    when it has children.  The key is ``t0:`` and the root's sorted child
+    encodings, comma-separated.  So any two topologies that differ only by a
+    permutation of branch indices map to the same key and structurally
+    distinct ones map to different keys.  The encodings are built children
+    first along a breadth-first order, with no recursion, so deep trees work.
     """
-    if topo.degree(0) != 1:
-        # Root at terminal 0 regardless; encode all its subtrees.
-        children = sorted(_encode(topo, w, 0) for w in topo.neighbors(0))
-        return "t0:(" + ",".join(children) + ")"
-    (child,) = topo.neighbors(0)
-    return "t0:" + _encode(topo, child, 0)
+    parent, order = {0: -1}, [0]
+    for v in order:  # grows while it is walked
+        for w in topo.neighbors(v):
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    codes: dict[int, list[str]] = {v: [] for v in order}
+    for v in reversed(order[1:]):  # children before parents
+        code = "(" + ",".join(sorted(codes[v])) + ")"
+        if v < topo.n_terminals:
+            code = f"t{v}{code}" if codes[v] else f"t{v}"
+        codes[parent[v]].append(code)
+    return "t0:" + ",".join(sorted(codes[0]))

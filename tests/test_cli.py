@@ -304,9 +304,9 @@ class TestMdmCommands:
         assert printed == res.length
         assert res.report["covered"] is True
         assert len(res.report["energetic"]) > 0
-        # 33 grid widths, 2 starting golden points, 70 steps and the pick.
+        # The gap is closed-form: no search, so no iteration count.
         assert res.solver["converged"] is True
-        assert res.solver["iterations"] == 106
+        assert "iterations" not in res.solver
 
     def test_numeric_solve_small_circle(self, tmp_path, capsys):
         inst = _write(

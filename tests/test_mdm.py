@@ -25,16 +25,17 @@ from minnet.mdm import (
     verify_mdm,
 )
 from minnet import mdm, steiner
-from minnet.mdm import _closest_on_network, _gapped_parallel, _tangent_length
+from minnet.mdm import _closest_on_network, _gapped_parallel
 from minnet.ratio import mst
 from minnet.steiner import instance_scale, solve_exact
 from minnet.topology import _full_topology_arrays, enumerate_full_topologies
 
 TOL = DEFAULT_TOL
 
-# Frozen outputs of the construction + 1-D gap search; the coverage oracle
-# (dense boundary samples against exact segment distances) validates each
-# value independently of the search that produced it.
+# Frozen outputs of the construction, taken when a 1-D search chose its gap
+# (the closed-form gap agrees to 3e-14 relative); the coverage oracle (dense
+# boundary samples against exact segment distances) validates each value
+# independently of the construction.
 HORSESHOE_R6_LENGTH = 30.192319998510747
 HORSESHOE_STADIUM_R6_LENGTH = 34.192319998722  # circle value + both straights
 
@@ -279,27 +280,70 @@ def _bisected_tangent_length(R, r, L, w, samples):
     return hi
 
 
+# The circles (L = 0) and stadiums (L = 2) whose gap the tests below check.
+GAP_ROWS = [(R, L) for R in (1.5, 2.0, 3.0, 6.0) for L in (0.0, 2.0)]
+
+
+def _horseshoe_gap(R, r, L):
+    """(net, w, l): a horseshoe, its gap half-width and its tangent length.
+
+    The network starts with the upper tangent's end and then the upper gap
+    endpoint A, on the right cap at angle w / (R - r).
+    """
+    net = horseshoe_stadium(R, r, L)[0] if L else horseshoe_circle(R, r)[0]
+    tip, A = net.vertices[:2]
+    w = (R - r) * math.atan2(A[1], A[0] - L / 2.0)
+    return net, w, float(np.linalg.norm(tip - A))
+
+
+def _boundary(R, L):
+    return CompactSetDescriptor.stadium(R, L) if L else CompactSetDescriptor.circle(R)
+
+
 class TestTangentLength:
     def test_closed_form_matches_sampled_bisection(self):
         r = 1.0
-        infeasible = past_cap = 0
-        for R in (1.5, 2.0, 3.0, 6.0):
-            for L in (0.0, 2.0):
-                rho = R - r
-                desc = CompactSetDescriptor.stadium(R, L) if L else CompactSetDescriptor.circle(R)
-                samples = sample_compact(desc, 100_000)
-                w_max = np.pi * rho if L == 0.0 else np.pi * rho / 2.0 + L
-                for frac in (0.01, 0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 0.99):
-                    w = frac * w_max
-                    got = _tangent_length(R, r, L, w)
-                    ref = _bisected_tangent_length(R, r, L, w, samples)
-                    assert (got is None) == (ref is None), (R, L, w, got, ref)
-                    if got is None:
-                        infeasible += 1
-                    else:
-                        assert abs(got - ref) <= 1e-9 * r, (R, L, w, got, ref)
-                    past_cap += L > 0.0 and w > np.pi * rho / 2.0
-        assert infeasible >= 5 and past_cap >= 5
+        for R, L in GAP_ROWS:
+            _, w, ell = _horseshoe_gap(R, r, L)
+            assert 0.0 < w < np.pi * (R - r) / 2.0
+            ref = _bisected_tangent_length(R, r, L, w, sample_compact(_boundary(R, L), 100_000))
+            assert abs(ell - ref) <= 1e-12 * r, (R, L, w, ell, ref)
+
+    @pytest.mark.parametrize("R, L", GAP_ROWS)
+    def test_no_gap_width_gives_a_shorter_member(self, R, L):
+        # Every feasible width on a grid, with its tangent length from the
+        # sampled bisection, gives a member no shorter than the chosen gap's.
+        r = 1.0
+        rho = R - r
+        _, w_star, ell_star = _horseshoe_gap(R, r, L)
+        samples = sample_compact(_boundary(R, L), 20_000)
+        perimeter = 2.0 * np.pi * rho + 2.0 * L
+        best = perimeter - 2.0 * w_star + 2.0 * ell_star
+        w_max = np.pi * rho if L == 0.0 else np.pi * rho / 2.0
+        feasible = []
+        for w in np.linspace(0.0, w_max, 41)[:-1]:
+            ell = _bisected_tangent_length(R, r, L, w, samples)
+            if ell is not None:
+                feasible.append(w)
+                assert perimeter - 2.0 * w + 2.0 * ell >= best - 1e-12 * r, (R, L, w, w_star)
+        assert feasible[0] < w_star < feasible[-1]
+
+
+class TestLongTightStadium:
+    # Most gap widths up to the end of a long, tight stadium's straight side
+    # give the same length, so a gap search over them can miss the cap's
+    # minimum (a 33-point grid and golden sections miss by 7.0e-3 and
+    # 3.0e-2 here).  The bounds are the closed-form lengths rounded up.
+    @pytest.mark.parametrize(
+        "R, r, L, bound", [(1.2, 1.0, 6.6667, 14.3951297), (0.45, 0.3, 10.0, 20.8217181)]
+    )
+    def test_gap_is_the_family_minimum_and_covers(self, R, r, L, bound):
+        net, length = horseshoe_stadium(R, r, L)
+        assert length <= bound
+        desc = CompactSetDescriptor.stadium(R, L)
+        rep = coverage_check(net, sample_compact(desc, 400_000), r, TOL)
+        assert rep.covered
+        assert rep.max_defect <= TOL.coverage_eps * desc.diameter()
 
 
 class TestHorseshoeDenseCoverage:

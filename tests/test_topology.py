@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minnet.ratio import caterpillar_topology
 from minnet.topology import (
     Topology,
     TopologyError,
@@ -181,6 +183,10 @@ class TestValidation:
         with pytest.raises(TopologyError):
             Topology(3, 1, ((0, 3), (1, 3), (2, 7)))
 
+    def test_non_integral_index_rejected(self):
+        with pytest.raises(TopologyError, match=r"^edge \(2\.5, 3\) has a non-integral index$"):
+            Topology(3, 1, ((0, 3), (1, 3), (2.5, 3)))
+
 
 class TestCanonicalKey:
     def test_invariant_under_steiner_relabel(self):
@@ -205,3 +211,42 @@ class TestCanonicalKey:
         rng.shuffle(edges)
         shuffled = Topology(5, 3, tuple(edges))
         assert canonical_key(shuffled) == canonical_key(base)
+
+    def test_full_topology_keys_are_frozen(self):
+        # One digest over the keys of every full topology on 2 to 8 terminals,
+        # in enumeration order, one key a line.
+        digest = hashlib.sha256()
+        for n in range(2, 9):
+            for t in enumerate_full_topologies(n):
+                digest.update(canonical_key(t).encode() + b"\n")
+        assert digest.hexdigest() == "939034f9c7f4c13a2cf22361286078359a81c42fe946047624bf5db45ef8c392"
+
+    def test_deep_tree_needs_no_recursion(self):
+        key = canonical_key(caterpillar_topology(600))
+        assert key.startswith("t0:((((") and key.count("(") == 598
+
+    def test_terminal_with_children_keeps_its_subtree(self):
+        p1 = Topology(4, 0, ((0, 1), (1, 2), (2, 3)))
+        p2 = Topology(4, 0, ((0, 1), (1, 3), (3, 2)))
+        assert canonical_key(p1) == "t0:t1(t2(t3))"
+        assert canonical_key(p2) == "t0:t1(t3(t2))"
+
+    def test_root_degree_does_not_hide_a_branch_node(self):
+        # Terminal 0 joined to 1 and 2 directly, and through one branch node.
+        direct = Topology(3, 0, ((0, 1), (0, 2)))
+        star = Topology(3, 1, ((0, 3), (1, 3), (2, 3)))
+        assert canonical_key(direct) == "t0:t1,t2"
+        assert canonical_key(star) == "t0:(t1,t2)"
+
+    def test_keys_separate_exactly_the_branch_relabelings(self):
+        # Every tree on 4 terminals and 2 branch nodes: two trees share a key
+        # exactly when swapping the branch labels maps one onto the other.
+        swap = {4: 5, 5: 4}
+        orbits = {}
+        for seq in itertools.product(range(6), repeat=4):
+            edges = _prufer_to_edges(seq, 6)
+            tree = frozenset(map(frozenset, edges))
+            swapped = frozenset(frozenset(swap.get(x, x) for x in e) for e in edges)
+            orbits.setdefault(canonical_key(Topology(4, 2, edges)), set()).add(frozenset((tree, swapped)))
+        assert all(len(found) == 1 for found in orbits.values())
+        assert len(set().union(*orbits.values())) == len(orbits)
