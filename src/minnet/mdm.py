@@ -36,7 +36,7 @@ from .geometry import (
     angle_at,
     fermat_point,
 )
-from .steiner import _contract, _labels, _relax_batch, _vertex_angles, instance_scale
+from .steiner import _contract, _full_colours, _labels, _relax_batch, _vertex_angles, instance_scale
 from .topology import _full_topology_arrays
 
 __all__ = [
@@ -645,7 +645,7 @@ def solve_mdm_finite(
         return MdmNetwork(np.array([c1 + radii[0] * u, c2 - radii[1] * u]), [(0, 1)])
 
     nb, edg = _full_topology_arrays(k)
-    X, lengths, *_ = _relax_batch(centers, nb, edg, tol, radii=radii)
+    X, lengths, *_ = _relax_batch(centers, nb, edg, tol, radii=radii, colour=_full_colours(k))
     best = int(np.argmin(lengths))
     return MdmNetwork(X[best].copy(), edg[best])
 

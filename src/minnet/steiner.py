@@ -54,6 +54,7 @@ reported within a relative tie tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -71,7 +72,7 @@ from .geometry import (
     _norm,
     fermat_point_triples,
 )
-from .topology import Topology, _branch_neighbours, _full_topology_arrays, _topologies
+from .topology import Topology, _branch_neighbours, _full_topology_arrays, _topologies, count_full_topologies
 
 __all__ = [
     "EmbeddedTree",
@@ -91,6 +92,11 @@ _DUAL_ROUNDS = 5  # clip-and-project rounds of the dual certificate
 _WEIGHT_FLOOR = 1e-3  # shortest edge a dual weight sees, in units of degen
 _BOUND_BLOCK = 4096  # topologies per dense incidence in _lower_bounds
 _MAX_SWEEPS = 3000  # sweep cap of one batch relaxation
+# Sweeps between the pruning checkpoints of _gs_sweeps.  The few survivors of
+# solve_exact's start pass are checked every 4, so the checkpoint finish settles
+# the near-best early; single topologies, ball terminals and batches under
+# _START_PASS_MIN keep the 10 they were tuned at.
+_CHECKPOINT, _CHECKPOINT_SURVIVORS = 10, 4
 # Sweep cap with ball terminals: Newton finishes every topology whose bound can
 # win, and past a few dozen sweeps a leaf and a branch node on its sphere crawl.
 _BALL_SWEEPS = 50
@@ -309,24 +315,51 @@ def _colour_classes(nb: np.ndarray, n: int) -> np.ndarray:
     return (lab[:m] > lab[m:]).reshape(T, s)
 
 
+class _FullColours:
+    """Colour classes of the full topologies on n terminals, each row coloured on first use.
+
+    ``colours[rows]`` is :func:`_colour_classes` of those rows of
+    ``_full_topology_arrays(n)``, computed once per process.  Filled lazily:
+    colouring all 135 135 rows at n = 9 costs more time and peak memory than
+    the few rows a solve sweeps.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.table = np.zeros((count_full_topologies(n), n - 2), dtype=bool)
+        self.filled = np.zeros(len(self.table), dtype=bool)
+
+    def __getitem__(self, rows: np.ndarray) -> np.ndarray:
+        todo = rows[~self.filled[rows]]
+        if len(todo):
+            self.table[todo] = _colour_classes(_full_topology_arrays(self.n, self.n)[0][todo], self.n)
+            self.filled[todo] = True
+        return self.table[rows]
+
+
+_full_colours = cache(_FullColours)  # the per-n colour memo
+
+
 def _gs_sweeps(
     X: np.ndarray,
     nb: np.ndarray,
     n: int,
+    colour: np.ndarray,
     move_target: float,
     max_sweeps: int,
     edg: np.ndarray | None = None,
     trace: list | None = None,
-    certify: tuple[np.ndarray, float, float] | None = None,
+    certify: tuple | None = None,
     balls: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> int:
     """In-place Gauss-Seidel Fermat sweeps over a shrinking batch; returns sweeps run.
 
-    A sweep moves the branch nodes of colour 0 (:func:`_colour_classes`) to
-    their Fermat points with one kernel call, then those of colour 1.  No
-    edge joins two nodes of one colour, so the class update is node-by-node
-    Gauss-Seidel: each node lands on the exact minimizer of its three edges
-    with its neighbours fixed, and length never increases.
+    A sweep moves the branch nodes of colour 0 (``colour``, the
+    :func:`_colour_classes` of ``nb``) to their Fermat points with one
+    kernel call, then those of colour 1.  No edge joins two nodes of one
+    colour, so the class update is node-by-node Gauss-Seidel: each node
+    lands on the exact minimizer of its three edges with its neighbours
+    fixed, and length never increases.
 
     Only nodes that can move are recomputed.  A node is *stirred* when it
     moved by more than ``move_target`` at its last update and its neighbours
@@ -343,13 +376,15 @@ def _gs_sweeps(
     A topology leaves the batch after its first sweep that moves no node by
     more than ``move_target``, so without ``certify`` its embedding does
     not depend on how slowly the others settle.  Given ``certify = (bounds,
-    degen, eps_tie, scale, steps)`` and ``edg``, every 10 sweeps a
-    still-moving topology also leaves once its certified lower bound exceeds
-    the incumbent (the shortest embedding seen in the batch) by ``eps_tie``,
-    that bound written to ``bounds`` (NaN elsewhere).  With point terminals,
-    those within ``_FINISH_NEAR`` of the incumbent and ``_FINISH_GAP * scale``
-    of their bound then get :func:`_newton_finish`'s finest eps level, kept
-    where it shortens them, and its step count goes to ``steps``.
+    degen, eps_tie, scale, steps, every)`` and ``edg``, every ``every``
+    sweeps (a checkpoint) a still-moving topology also leaves once its
+    certified lower bound exceeds the incumbent (the shortest embedding seen
+    in the batch) by ``eps_tie``, that bound written to ``bounds`` (NaN
+    elsewhere).  With point terminals, those within ``_FINISH_NEAR`` of the
+    incumbent and ``_FINISH_GAP * scale`` of their bound then get
+    :func:`_newton_finish`'s finest eps level, kept where it shortens them,
+    and its step count goes to ``steps``.  A topology whose finish tied (did
+    not shorten it) is not finished again at later checkpoints.
 
     Given ``balls = (centers, radii, leaf_nbr)``, the first n nodes are not
     fixed terminals but leaves free in the balls B(centers[i], radii[i]):
@@ -359,12 +394,12 @@ def _gs_sweeps(
     is stirred by its own move in each sweep.
     """
     act = np.arange(len(nb))
-    colour = _colour_classes(nb, n)
     Xa, nba = X, nb
     stirred = np.zeros((len(nb), X.shape[1]), dtype=bool)
     fresh = np.zeros(len(nb), dtype=bool)  # just finished: recompute every node
+    tied = np.zeros(len(nb), dtype=bool)  # last finish tied: not finished again
     if certify is not None:
-        bounds, degen, eps_tie, scale, steps = certify
+        bounds, degen, eps_tie, scale, steps, every = certify
         best = _total_lengths(X, edg)
     sweeps = 0
     classes = None
@@ -396,7 +431,7 @@ def _gs_sweeps(
             if Xa is not X:
                 X[act] = Xa
             trace.append(_total_lengths(X, edg))
-        if certify is not None and sweeps % 10 == 0:
+        if certify is not None and sweeps % every == 0:
             best[act] = _total_lengths(Xa, edg[act])
             cutoff = best.min() * (1.0 + eps_tie)
             rows = np.flatnonzero(keep)
@@ -404,7 +439,7 @@ def _gs_sweeps(
             dead = lb > cutoff
             bounds[act[rows[dead]]] = lb[dead]
             keep[rows[dead]] = False
-            near = ~dead & (best[act[rows]] - lb <= _FINISH_GAP * scale)
+            near = ~dead & ~tied[rows] & (best[act[rows]] - lb <= _FINISH_GAP * scale)
             near = rows[near & (best[act[rows]] <= best.min() * (1.0 + _FINISH_NEAR))]
             if balls is None and len(near):
                 before = Xa[near]
@@ -412,6 +447,7 @@ def _gs_sweeps(
                 # A tie, moved along a flat direction, would be swept back and finished again.
                 tie = _total_lengths(Xa[near], edg[act[near]]) >= best[act[near]]
                 Xa[near[tie]] = before[tie]
+                tied[near[tie]] = True
                 fresh[near[~tie]] = True
         if not keep.all() and sweeps < max_sweeps:
             if Xa is not X:
@@ -419,7 +455,7 @@ def _gs_sweeps(
             if certify is not None:
                 best[act[~keep]] = _total_lengths(Xa[~keep], edg[act[~keep]])
             act = act[keep]
-            Xa, nba, stirred, fresh = X[act], nb[act], stirred[keep], fresh[keep]
+            Xa, nba, stirred, fresh, tied = X[act], nb[act], stirred[keep], fresh[keep], tied[keep]
             classes = None
     if Xa is not X:
         X[act] = Xa
@@ -570,6 +606,7 @@ def _relax_batch(
     record_trace: bool = False,
     radii: np.ndarray | None = None,
     incumbent: float | None = None,
+    colour=None,
 ):
     """Relax the full topologies ``nb``, ``edg`` (as ``topology._full_topology_arrays`` builds).
 
@@ -590,8 +627,13 @@ def _relax_batch(
     topology is first bounded at its harmonic start (1 dual round, then 5 on
     the survivors) against min(``incumbent``, shortest harmonic length) times
     ``1 + eps_tie``.  The rows cut keep that embedding and bound; only the
-    others are swept, and every checkpoint's shortest length is still the
-    one the whole batch would reach.
+    others are swept, with a checkpoint every ``_CHECKPOINT_SURVIVORS``
+    sweeps instead of ``_CHECKPOINT``, and every checkpoint's shortest
+    length is still the one the whole batch would reach.
+
+    ``colour[rows]`` gives the :func:`_colour_classes` of rows of ``nb``,
+    as ``_full_colours(n)`` does for ``_full_topology_arrays(n)``; without
+    it the swept rows are coloured here.
     """
     n, d = terminals.shape
     s = n - 2
@@ -616,7 +658,9 @@ def _relax_batch(
     cap = _MAX_SWEEPS if balls is None else _BALL_SWEEPS
     lb, steps = np.full(T, np.nan), []
     live = np.arange(T)
+    every = _CHECKPOINT
     if incumbent is not None:
+        every = _CHECKPOINT_SURVIVORS
         cutoff = min(incumbent, _total_lengths(X, edg).min()) * (1.0 + tol.eps_tie)
         for rounds in (1, _DUAL_ROUNDS):
             bound = _lower_bounds(X[live], edg[live], n, degen, rounds=rounds)
@@ -624,8 +668,9 @@ def _relax_batch(
             lb[live[cut]] = bound[cut]
             live = live[~cut]
     Xl, lbl = X[live], lb[live]
-    certify = (lbl, degen, tol.eps_tie, scale, steps)
-    sweeps = _gs_sweeps(Xl, nb[live], n, move_target, cap, edg[live], trace, certify, balls)
+    certify = (lbl, degen, tol.eps_tie, scale, steps, every)
+    colour = _colour_classes(nb[live], n) if colour is None else colour[live]
+    sweeps = _gs_sweeps(Xl, nb[live], n, colour, move_target, cap, edg[live], trace, certify, balls)
     X[live], lb[live] = Xl, lbl
     pruned = ~np.isnan(lb)  # these carry the bound that pruned them
     lengths = _total_lengths(X, edg)
@@ -681,15 +726,16 @@ def _relax_forest(
     s = len(nb)
     mate = np.where(nb >= n, nb - n, 0)
     degen = max(DEFAULT_TOL.eps_len * scale, 1e-300)
+    colour = _colour_classes(nb[None], n)  # one colouring for every resume
     sweeps = 0
     while True:
         cap = min(_FINISH_AFTER - 1, max_sweeps - sweeps)
-        run = _gs_sweeps(X[None], nb[None], n, move_target, cap)
+        run = _gs_sweeps(X[None], nb[None], n, colour, move_target, cap)
         sweeps += run
         if run < cap or sweeps == max_sweeps:
             return sweeps
         before = X[n : n + s].copy()
-        sweeps += _gs_sweeps(X[None], nb[None], n, move_target, 1)
+        sweeps += _gs_sweeps(X[None], nb[None], n, colour, move_target, 1)
         moving = np.linalg.norm(X[n : n + s] - before, axis=1) > move_target
         if not moving.any() or sweeps == max_sweeps:
             return sweeps
@@ -803,7 +849,9 @@ def solve_exact(
         # A spanning tree of the terminals is a real tree (scipy drops the zero
         # distances of duplicates, which only lengthens it), so it bounds the optimum.
         span = float(minimum_spanning_tree(squareform(pdist(pts))).sum())
-    X, lengths, converged, gaps, _, pruned, sweeps, newton_steps = _relax_batch(pts, nb, edg, tol, incumbent=span)
+    X, lengths, converged, gaps, _, pruned, sweeps, newton_steps = _relax_batch(
+        pts, nb, edg, tol, incumbent=span, colour=_full_colours(n)
+    )
     scale = instance_scale(pts)
 
     best = int(np.argmin(lengths))

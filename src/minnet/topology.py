@@ -13,7 +13,7 @@ The solvers take all full topologies as arrays from :func:`_full_topology_arrays
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial
 
 import numpy as np
@@ -130,13 +130,11 @@ def _branch_neighbours(edg: np.ndarray, n: int) -> np.ndarray:
 
 def _full_topology_arrays(n: int, n_max: int = 9) -> tuple[np.ndarray, np.ndarray]:
     """(nb, edg): the (T, n - 2, 3) :func:`_branch_neighbours` and (T, 2n - 3, 2)
-    edges of all full topologies on n terminals.
+    edges of all full topologies on n terminals, read-only.
 
-    The unique topology on 3 terminals grows one terminal at a time:
-    terminal k splits edge i of topology t through a fresh branch node
-    2k - 1, old branch nodes shifted up by one, into row t (2k - 3) + i, with
-    one gather per level.  Every full topology arises exactly once.
-    ``n_max`` guards against runaway enumeration: the count grows as (2n-5)!!.
+    ``n_max`` guards against runaway enumeration: the count grows as
+    (2n-5)!!.  It is checked on every call; the arrays are built once per n
+    (:func:`_grown`) and shared by every later call.
     """
     if n < 2:
         raise TopologyError("need n >= 2 terminals")
@@ -144,6 +142,18 @@ def _full_topology_arrays(n: int, n_max: int = 9) -> tuple[np.ndarray, np.ndarra
         raise TopologyError(
             f"n = {n} exceeds n_max = {n_max}; {count_full_topologies(n)} topologies"
         )
+    return _grown(n)
+
+
+@cache
+def _grown(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-n memo of :func:`_full_topology_arrays`, which checks n first.
+
+    The unique topology on 3 terminals grows one terminal at a time:
+    terminal k splits edge i of topology t through a fresh branch node
+    2k - 1, old branch nodes shifted up by one, into row t (2k - 3) + i, with
+    one gather per level.  Every full topology arises exactly once.
+    """
     edg = np.array([[[0, 1]]]) if n == 2 else np.array([[[0, 3], [1, 3], [2, 3]]])
     for k in range(3, n):
         T, E, _ = edg.shape
@@ -154,7 +164,10 @@ def _full_topology_arrays(n: int, n_max: int = 9) -> tuple[np.ndarray, np.ndarra
         c = 2 * E
         split = [[*range(2 * i), 2 * i, c, c, 2 * i + 1, c, c + 1, *range(2 * i + 2, c)] for i in range(E)]
         edg = ends[:, split].reshape(T * E, E + 2, 2)
-    return _branch_neighbours(edg, n), edg
+    nb = _branch_neighbours(edg, n)
+    nb.setflags(write=False)
+    edg.setflags(write=False)
+    return nb, edg
 
 
 def _topologies(edg: np.ndarray, n: int) -> list[Topology]:

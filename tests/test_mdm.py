@@ -637,7 +637,7 @@ class TestFiniteSolverOptimality:
             X = np.concatenate([np.broadcast_to(pts, (len(topologies), n, 2)), steiner._harmonic_init(pts, nb)], axis=1)
             degen = TOL.eps_len * instance_scale(pts)
             for sweeps in (1, 4):  # after sweeps 1 and 5
-                steiner._gs_sweeps(X, nb, n, 0.0, sweeps, balls=balls)
+                steiner._gs_sweeps(X, nb, n, steiner._colour_classes(nb, n), 0.0, sweeps, balls=balls)
                 assert np.all(steiner._lower_bounds(X, edg, n, degen, balls) <= ref + slack), (i, sweeps)
 
     def test_benchmark_six_point_set(self):

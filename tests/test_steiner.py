@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial.distance import pdist, squareform
 
-from minnet import experiments, steiner
+from minnet import experiments, steiner, topology
 from minnet.experiments import heuristic_steiner, hex_lattice_instance, random_instance
 from minnet.geometry import (
     DEFAULT_TOL,
@@ -335,21 +335,22 @@ def _embeddings_after(pts: np.ndarray, topologies, sweeps: int):
     X = np.empty((len(topologies), 2 * n - 2, pts.shape[1]))
     X[:, :n] = pts
     X[:, n:] = _harmonic_init(pts, nb)
-    _gs_sweeps(X, nb, n, 0.0, sweeps)
+    _gs_sweeps(X, nb, n, _colour_classes(nb, n), 0.0, sweeps)
     return X, nb, edg
 
 
-def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certify=None, balls=None):
+def _full_sweeps(X, nb, n, colour, move_target, max_sweeps, edg=None, trace=None, certify=None, balls=None):
     """Reference sweep driver: every sweep recomputes every branch node.
 
     ``_gs_sweeps`` without its active set, with the same retirement, trace,
-    certificate, checkpoint finish and ball-leaf rules; a topology's largest
-    move decides whether it stays in the batch.
+    certificate, checkpoint interval, checkpoint finish (not repeated after
+    a tie) and ball-leaf rules; a topology's largest move decides whether it
+    stays in the batch.
     """
     act = np.arange(len(nb))
-    colour = _colour_classes(nb, n)
+    tied = np.zeros(len(nb), dtype=bool)
     if certify is not None:
-        bounds, degen, eps_tie, scale, steps = certify
+        bounds, degen, eps_tie, scale, steps, every = certify
         best = steiner._total_lengths(X, edg)
     sweeps = 0
     while sweeps < max_sweeps and len(act):
@@ -374,7 +375,7 @@ def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certif
         keep = move > move_target
         if trace is not None and edg is not None:
             trace.append(steiner._total_lengths(X, edg))
-        if certify is not None and sweeps % 10 == 0:
+        if certify is not None and sweeps % every == 0:
             best[act] = steiner._total_lengths(Xa, edg[act])
             cutoff = best.min() * (1.0 + eps_tie)
             far = np.flatnonzero(keep & (best[act] > cutoff))
@@ -383,7 +384,7 @@ def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certif
                 dead = lb > cutoff
                 bounds[act[far[dead]]] = lb[dead]
                 keep[far[dead]] = False
-            near = np.flatnonzero(keep & (best[act] <= best.min() * (1.0 + steiner._FINISH_NEAR)))
+            near = np.flatnonzero(keep & ~tied[act] & (best[act] <= best.min() * (1.0 + steiner._FINISH_NEAR)))
             if balls is None and len(near):
                 lb = _lower_bounds(Xa[near], edg[act[near]], n, degen)
                 near = near[best[act[near]] - lb <= steiner._FINISH_GAP * scale]
@@ -391,8 +392,9 @@ def _full_sweeps(X, nb, n, move_target, max_sweeps, edg=None, trace=None, certif
                     Y = Xa.copy()
                     levels = steiner._EPS_LEVELS[-1:]
                     steps.append(steiner._newton_finish(Y, edg[act], n, near, scale, degen, levels=levels))
-                    gain = near[steiner._total_lengths(Y[near], edg[act[near]]) < best[act[near]]]
-                    X[act[gain]] = Y[gain]
+                    shorter = steiner._total_lengths(Y[near], edg[act[near]]) < best[act[near]]
+                    X[act[near[shorter]]] = Y[near[shorter]]
+                    tied[act[near[~shorter]]] = True
         if not keep.all() and sweeps < max_sweeps:
             if certify is not None:
                 best[act[~keep]] = steiner._total_lengths(Xa[~keep], edg[act[~keep]])
@@ -509,6 +511,7 @@ class TestLowerBound:
         for i, pts in enumerate(_degenerate_stream(7, 300)):
             res = solve_exact(pts)
             assert res.gap >= -1e-12 * instance_scale(pts), i
+            assert res.sweeps < steiner._MAX_SWEEPS, i
             if not res.tree.converged:
                 unconverged.add(i)
         assert unconverged == set()
@@ -550,7 +553,7 @@ class TestLowerBound:
             if radius is not None:
                 leaf_nbr = np.array([[topo.neighbors(i)[0] for i in range(5)] for topo in topos])
                 balls = (pts, np.full(5, radius), leaf_nbr)
-            _gs_sweeps(X, nb, 5, target, 3000, balls=balls)
+            _gs_sweeps(X, nb, 5, _colour_classes(nb, 5), target, 3000, balls=balls)
             return X
 
         for radius in (None, 0.05):
@@ -605,7 +608,7 @@ class TestColourClasses:
         pts = np.random.default_rng(40).uniform(0.0, 1.0, (40, 2))
         X, nb, _ = _embeddings_after(pts, [caterpillar_topology(40)], 0)
         Y = X.copy()
-        _full_sweeps(Y, nb, 40, 0.0, 5)
+        _full_sweeps(Y, nb, 40, _colour_classes(nb, 40), 0.0, 5)
         # The nodes due in full sweeps: all in the first sweep, then those
         # with a neighbour whose last update changed it.
         colour, Z = _colour_classes(nb, 40)[0], X[0].copy()
@@ -618,7 +621,7 @@ class TestColourClasses:
                 changed[idx] = (new != Z[idx]).any(axis=1)
                 Z[idx] = new
         monkeypatch.setattr(steiner, "fermat_point_triples", counting)
-        _gs_sweeps(X, nb, 40, 0.0, 5)
+        _gs_sweeps(X, nb, 40, _colour_classes(nb, 40), 0.0, 5)
         # At most one call per class and sweep; the active set sends only the
         # due nodes, fewer than the 38 a full sweep moves, and lands on the
         # full sweeps' embedding bit for bit.
@@ -634,7 +637,7 @@ class TestColourClasses:
         X, nb, _ = _embeddings_after(pts, topologies, 0)
         colour = _colour_classes(nb, 7)
         Y = X.copy()
-        _gs_sweeps(X, nb, 7, 0.0, 3)
+        _gs_sweeps(X, nb, 7, colour, 0.0, 3)
         for _ in range(3):
             for t in range(len(topologies)):
                 for c in (False, True):
@@ -1088,7 +1091,8 @@ class TestActiveSet:
             leaf_nbr = np.array([[topo.neighbors(i)[0] for i in range(6)] for topo in topologies])
             balls = (pts, np.full(6, radius), leaf_nbr)
         Y = X.copy()
-        assert _gs_sweeps(X, nb, 6, 0.0, 60, balls=balls) == _full_sweeps(Y, nb, 6, 0.0, 60, balls=balls)
+        colour = _colour_classes(nb, 6)
+        assert _gs_sweeps(X, nb, 6, colour, 0.0, 60, balls=balls) == _full_sweeps(Y, nb, 6, colour, 0.0, 60, balls=balls)
         assert np.array_equal(X, Y)
 
     @pytest.mark.parametrize(
@@ -1139,7 +1143,7 @@ def _capped_round(pts):
         mp.setattr(experiments, "_relax_forest", record)
         heuristic_steiner(pts)
     for X, nb, n, move_target, cap, scale in calls:
-        if _gs_sweeps(X.copy()[None], nb[None], n, move_target, cap) == cap:
+        if _gs_sweeps(X.copy()[None], nb[None], n, _colour_classes(nb[None], n), move_target, cap) == cap:
             return X, nb, n, move_target, cap, scale
     raise AssertionError("no round sweeps to the cap")
 
@@ -1160,7 +1164,7 @@ class TestCrawlerFinish:
     def test_no_longer_than_plain_sweeps(self, capped):
         X, nb, n, move_target, cap, scale = capped
         plain, finished = X.copy(), X.copy()
-        _gs_sweeps(plain[None], nb[None], n, move_target, cap)
+        _gs_sweeps(plain[None], nb[None], n, _colour_classes(nb[None], n), move_target, cap)
         _relax_forest(finished, nb, n, move_target, cap, scale)
         assert _branch_length(finished, nb, n) <= _branch_length(plain, nb, n) * (1.0 + 1e-12)
 
@@ -1276,6 +1280,54 @@ class TestCheckpointFinish:
         assert res.tree.converged
         assert res.sweeps <= 64
 
+    def test_a_tied_finish_is_not_repeated(self, monkeypatch):
+        # A topology (known by its edges) whose checkpoint finish tied is not
+        # finished at a later checkpoint of the same solve.
+        calls = []
+        finish = steiner._newton_finish
+
+        def record(X, edg, n, rows, *args, **kwargs):
+            before = steiner._total_lengths(X[rows], edg[rows])
+            steps = finish(X, edg, n, rows, *args, **kwargs)
+            if kwargs.get("levels") == steiner._EPS_LEVELS[-1:]:
+                tied = steiner._total_lengths(X[rows], edg[rows]) >= before
+                calls[-1].append([(edg[r].tobytes(), bool(t)) for r, t in zip(rows.tolist(), tied)])
+            return steps
+
+        monkeypatch.setattr(steiner, "_newton_finish", record)
+        ties = 0
+        for pts in itertools.islice(_degenerate_stream(7, 300), 260, 300):
+            calls.append([])
+            solve_exact(pts)
+            done = set()
+            for checkpoint in calls[-1]:
+                assert not done & {key for key, _ in checkpoint}
+                done |= {key for key, tied in checkpoint if tied}
+            ties += len(done)
+        assert ties > 0
+
+    @pytest.mark.parametrize(
+        "solve,every",
+        [
+            pytest.param(lambda pts: solve_exact(pts[:6]), steiner._CHECKPOINT_SURVIVORS, id="exact_n6"),
+            pytest.param(lambda pts: solve_exact(pts[:5]), steiner._CHECKPOINT, id="exact_n5"),
+            pytest.param(lambda pts: relax_topology(pts, caterpillar_topology(7)), steiner._CHECKPOINT, id="single"),
+            pytest.param(lambda pts: solve_mdm_finite(8.0 * pts[:5], 1.0), steiner._CHECKPOINT, id="balls"),
+        ],
+    )
+    def test_interval_follows_the_start_pass(self, solve, every, monkeypatch):
+        # Only the survivors of solve_exact's start pass are checked every 4 sweeps.
+        seen = []
+        sweeps = steiner._gs_sweeps
+
+        def record(*args, **kwargs):
+            seen.append(args[8][-1])
+            return sweeps(*args, **kwargs)
+
+        monkeypatch.setattr(steiner, "_gs_sweeps", record)
+        solve(np.random.default_rng(4).uniform(0.0, 1.0, (7, 2)))
+        assert seen == [every]
+
 
 
 class TestStartPass:
@@ -1318,3 +1370,42 @@ class TestStartPass:
         assert res.n_topologies == 105
         assert res.tree.length == lengths.min()
         assert res.tree.topology.edges == tuple(map(tuple, edg[np.argmin(lengths)].tolist()))
+
+
+class TestPerNMemo:
+    """Full-topology arrays and their colour classes are built once per terminal count."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_lazy_colours_equal_colour_classes(self, n):
+        nb, _ = _full_topology_arrays(n)
+        whole = _colour_classes(nb, n)
+        colours = steiner._FullColours(n)
+        # Overlapping requests in a shuffled order: each row is coloured once
+        # and reads back the same.
+        order = np.random.default_rng(n).permutation(len(nb))
+        for part in np.array_split(np.r_[order, order[: len(order) // 2]], 7):
+            assert np.array_equal(colours[part], whole[part])
+        assert colours.filled.all()
+        assert np.array_equal(colours.table, whole)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            pytest.param(np.random.default_rng(61).uniform(0.0, 1.0, (6, 2)), id="uniform_n6_d2"),
+            pytest.param(np.random.default_rng(72).uniform(0.0, 1.0, (7, 3)), id="uniform_n7_d3"),
+            pytest.param(_jittered_ngon(np.random.default_rng(6), 6, 2), id="jittered_hexagon"),
+        ],
+    )
+    def test_cold_and_warm_solves_are_identical(self, pts):
+        topology._grown.cache_clear()
+        steiner._full_colours.cache_clear()
+        cold = solve_exact(pts)
+        n = len(pts)
+        # The cold call coloured only the rows it swept.
+        assert 0 < steiner._full_colours(n).filled.sum() < len(_full_topology_arrays(n)[1])
+        warm = solve_exact(pts)
+        assert warm.tree.length == cold.tree.length
+        assert np.array_equal(warm.tree.steiner, cold.tree.steiner)
+        assert [t.edges for t in warm.cominimal] == [t.edges for t in cold.cominimal]
+        for field in ("gap", "sweeps", "newton_steps", "n_pruned", "n_unconverged"):
+            assert getattr(warm, field) == getattr(cold, field), field

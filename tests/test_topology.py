@@ -120,6 +120,22 @@ class TestArrays:
         with pytest.raises(TopologyError, match=r"^n = 10 exceeds n_max = 9; 2027025 topologies$"):
             _full_topology_arrays(10)
 
+    def test_memo_is_shared_and_read_only(self):
+        nb, edg = _full_topology_arrays(6)
+        again = _full_topology_arrays(6, n_max=7)
+        assert again[0] is nb and again[1] is edg
+        for table in (nb, edg, edg[3]):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
+
+    def test_nmax_guard_runs_before_the_memo(self):
+        _full_topology_arrays(9)
+        with pytest.raises(TopologyError, match=r"^n = 9 exceeds n_max = 8; 135135 topologies$"):
+            _full_topology_arrays(9, n_max=8)
+        with pytest.raises(TopologyError, match=r"^n = 10 exceeds n_max = 9; 2027025 topologies$"):
+            enumerate_full_topologies(10)
+
 
 class TestStructure:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
